@@ -123,25 +123,32 @@ class BenchReport:
 
 
 def _solver_cfg(spec: SuiteSpec, seed: int) -> TrainConfig:
-    kw: dict = {"seed": seed}
-    if spec.epochs is not None:
-        kw["max_epochs"] = spec.epochs
-    if spec.lr is not None:
-        kw["learning_rate"] = spec.lr
-    if spec.d0 is not None:
-        kw["d0"] = spec.d0
-    if spec.d1 is not None:
-        kw["d1"] = spec.d1
-    return TrainConfig(**kw)
+    schedule = {"max_epochs": spec.epochs, "learning_rate": spec.lr}
+    schedule = {k: v for k, v in schedule.items() if v is not None}
+    return TrainConfig(seed=seed, d0=spec.d0, d1=spec.d1, **schedule)
+
+
+def _pipeline_cfg(spec: SuiteSpec, seed: int) -> PipelineConfig:
+    return PipelineConfig(
+        kind=spec.problem,
+        observe_fraction=spec.observe_fraction,
+        lam=spec.lam,
+        predictor_cfg=TrainConfig(seed=seed),
+        solver_cfg=_solver_cfg(spec, seed),
+        seed=seed,
+        penalty=spec.penalty,
+        polish=spec.polish,
+    )
 
 
 def _run_method(
     spec: SuiteSpec, g: Graph, method: str, seed: int
-) -> tuple[float, bool]:
+) -> tuple[float, bool, np.ndarray]:
+    """Objective, feasibility and assignment of one method on one graph."""
     kind = spec.problem
     if method == "oracle":
         x, val = brute_force_optimum(kind, g)
-        return val, bool(is_feasible(kind, g, x))
+        return val, bool(is_feasible(kind, g, x)), x
     if method == "dga":
         x = dga(kind, g)
     elif method == "dga+local-search":
@@ -151,26 +158,19 @@ def _run_method(
         soft, _ = train(g, q, _solver_cfg(spec, seed))
         x = project_and_repair(kind, g, soft, polish=spec.polish)
     elif method == "dfl-pipeline":
-        cfg = PipelineConfig(
-            kind=kind,
-            observe_fraction=spec.observe_fraction,
-            lam=spec.lam,
-            predictor_cfg=TrainConfig(seed=seed),
-            solver_cfg=_solver_cfg(spec, seed),
-            seed=seed,
-            penalty=spec.penalty,
-            polish=spec.polish,
-        )
-        res = end_to_end_solve(g, cfg)
-        return res.objective_true, res.feasible_true
+        res = end_to_end_solve(g, _pipeline_cfg(spec, seed))
+        return res.objective_true, res.feasible_true, res.assignment
     else:
         raise ValueError(f"unknown method {method!r}")
-    return objective(kind, g, x), bool(is_feasible(kind, g, x))
+    return objective(kind, g, x), bool(is_feasible(kind, g, x)), x
 
 
-def _run_row(spec: SuiteSpec, name: str, g: Graph, method: str, seed: int) -> dict:
+def _run_row(
+    spec: SuiteSpec, name: str, g: Graph, method: str, seed: int, assignment: bool = False
+) -> dict:
+    """One report row; with ``assignment`` it also carries the decision."""
     t0 = time.perf_counter()
-    obj, feasible = _run_method(spec, g, method, seed)
+    obj, feasible, x = _run_method(spec, g, method, seed)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     ref = best_known(name)
     eps = (
@@ -178,7 +178,7 @@ def _run_row(spec: SuiteSpec, name: str, g: Graph, method: str, seed: int) -> di
         if ref is not None
         else None
     )
-    return {
+    row = {
         "instance": name,
         "n": g.n,
         "m": g.m,
@@ -189,13 +189,19 @@ def _run_row(spec: SuiteSpec, name: str, g: Graph, method: str, seed: int) -> di
         "seed": seed,
         "epsilon": eps,
     }
+    if assignment:
+        row["assignment"] = [int(b) for b in x]
+    return row
 
 
 def _worker_count() -> int:
     raw = os.environ.get("GDFL_THREADS")
     if raw is None:
         return min(4, os.cpu_count() or 1)
-    count = int(raw)
+    try:
+        count = int(raw)
+    except ValueError:
+        raise ValueError(f"GDFL_THREADS must be an integer, got {raw!r}") from None
     if count < 1:
         raise ValueError(f"GDFL_THREADS must be at least 1, got {count}")
     return count

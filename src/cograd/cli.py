@@ -2,7 +2,8 @@
 
 Subcommands: gen (d-regular generation), solve (GCN solver on one
 instance), dfl (end-to-end predict-then-optimize), oracle (brute force),
-bench (suite runner). A JSON config file can supply any long flag by name
+bench (suite runner). solve, dfl and oracle run the matching bench method
+on one instance file. A JSON config file can supply any long flag by name
 ("lambda", "observe", "polish", ...); explicit flags win over the file.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 solver divergence.
@@ -13,29 +14,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from .bench import (
-    CSV_HEADER,
+    BenchReport,
     InstanceSpec,
     SuiteSpec,
-    _csv_cell,
+    _pipeline_cfg,
+    _run_row,
+    _worker_count,
     emit_report,
-    relative_error,
     run_suite,
 )
-from .gnn import TrainConfig, TrainingDivergedError, project_and_repair, train
-from .graph import GsetFormatError, generate_d_regular, load_gset, write_gset
-from .pipeline import PipelineConfig, end_to_end_solve
-from .qubo import (
-    ProblemKind,
-    brute_force_optimum,
-    build_qubo,
-    is_feasible,
-    objective,
-)
-from .reference import best_known
+from .gnn import TrainingDivergedError
+from .graph import generate_d_regular, write_gset
+from .pipeline import end_to_end_solve
+from .qubo import ProblemKind
 
 __all__ = ["main"]
 
@@ -50,89 +44,57 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_DEFAULTS: dict[str, dict] = {
-    "gen": {"n": None, "d": None, "seed": 0, "out": None},
-    "solve": {
-        "problem": None,
-        "input": None,
-        "seed": 0,
-        "epochs": None,
-        "lr": None,
-        "penalty": 2.0,
-        "polish": True,
-        "d0": None,
-        "d1": None,
-        "format": "json",
-        "out": None,
-    },
-    "dfl": {
-        "problem": None,
-        "input": None,
-        "seed": 0,
-        "epochs": None,
-        "lr": None,
-        "lam": 1.0,
-        "observe": 0.8,
-        "penalty": 2.0,
-        "polish": True,
-        "d0": None,
-        "d1": None,
-        "format": "json",
-        "out": None,
-    },
-    "oracle": {"problem": None, "input": None, "format": "json", "out": None},
-    "bench": {
-        "problem": None,
-        "instances": None,
-        "methods": None,
-        "seed": 0,
-        "seeds": 1,
-        "epochs": None,
-        "lr": None,
-        "lam": 1.0,
-        "observe": 0.8,
-        "penalty": 2.0,
-        "polish": True,
-        "d0": None,
-        "d1": None,
-        "format": "csv",
-        "out": None,
-    },
+# subcommand -> the bench method it runs on one instance
+_METHODS = {"solve": "gnn-solver", "dfl": "dfl-pipeline", "oracle": "oracle"}
+
+# argparse dest -> (SuiteSpec field, conversion) for the run settings
+_SPEC_FIELDS = {
+    "penalty": ("penalty", float),
+    "polish": ("polish", bool),
+    "observe": ("observe_fraction", float),
+    "lam": ("lam", float),
+    "epochs": ("epochs", int),
+    "lr": ("lr", float),
+    "d0": ("d0", int),
+    "d1": ("d1", int),
 }
 
-# config-file key -> argparse dest, where they differ
-_KEY_ALIASES = {"lambda": "lam"}
 
-
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     ap = _Parser(prog="cograd", description="QUBO solving on graphs")
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    S = argparse.SUPPRESS
 
-    def common(p, *, problem=True, fmt=True):
-        p.add_argument("--config", default=None, help="JSON file of flag values")
+    def common(p, *, problem=True, instance=True, fmt="json"):
+        p.add_argument("--config", help="JSON file of flag values")
         if problem:
-            p.add_argument("--problem", choices=[k.value for k in ProblemKind], default=S)
-            p.add_argument("--input", default=S, help="instance file, edge-list format")
+            p.add_argument("--problem", choices=[k.value for k in ProblemKind])
+        if instance:
+            p.add_argument("--input", help="instance file, edge-list format")
         if fmt:
-            p.add_argument("--format", choices=["csv", "json"], default=S)
-        p.add_argument("--out", default=S, help="output path (default stdout)")
+            p.add_argument("--format", choices=["csv", "json"], default=fmt)
+        p.add_argument("--out", help="output path (default stdout)")
 
     gen = sub.add_parser("gen", help="generate a d-regular instance")
-    gen.add_argument("--n", type=int, default=S)
-    gen.add_argument("--d", type=int, default=S)
-    gen.add_argument("--seed", type=int, default=S)
-    common(gen, problem=False, fmt=False)
+    gen.add_argument("--n", type=int)
+    gen.add_argument("--d", type=int)
+    gen.add_argument("--seed", type=int, default=0)
+    common(gen, problem=False, instance=False, fmt=None)
 
     def solver_flags(p, pipeline: bool):
-        p.add_argument("--seed", type=int, default=S)
-        p.add_argument("--epochs", type=int, default=S)
-        p.add_argument("--lr", type=float, default=S)
-        p.add_argument("--penalty", type=float, default=S)
-        p.add_argument("--polish", action=argparse.BooleanOptionalAction, default=S)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--epochs", type=int)
+        p.add_argument("--lr", type=float)
+        p.add_argument("--penalty", type=float, default=2.0)
+        p.add_argument("--polish", action=argparse.BooleanOptionalAction, default=True)
         if pipeline:
-            p.add_argument("--lambda", dest="lam", type=float, default=S)
-            p.add_argument("--observe", type=float, default=S)
+            p.add_argument(
+                "--lambda", dest="lam", type=float, default=1.0,
+                help="weight of the predictor's reconstruction loss; it adds a "
+                "constant to the reported losses and changes no decision",
+            )
+            p.add_argument("--observe", type=float, default=0.8)
+        # embedding widths are config-file keys only
+        p.set_defaults(d0=None, d1=None)
 
     solve = sub.add_parser("solve", help="run the GCN solver on one instance")
     solver_flags(solve, pipeline=False)
@@ -146,41 +108,45 @@ def _build_parser() -> _Parser:
     common(oracle)
 
     bench = sub.add_parser("bench", help="run a benchmark suite")
-    bench.add_argument("--seeds", type=int, default=S, help="number of seeds")
+    bench.add_argument("--seeds", type=int, default=1, help="number of seeds")
     solver_flags(bench, pipeline=True)
-    common(bench)
-    return ap
+    common(bench, instance=False, fmt="csv")
+    bench.set_defaults(instances=None, methods=None)
+    return ap, sub.choices
 
 
-def _merge_options(ns: argparse.Namespace) -> dict:
-    cmd = ns.command
-    opts = dict(_DEFAULTS[cmd])
-    if ns.config is not None:
-        path = Path(ns.config)
-        if not path.exists():
-            raise _UsageError(f"config file not found: {ns.config}")
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise _UsageError("config file must hold a JSON object")
-        for key, value in doc.items():
-            dest = _KEY_ALIASES.get(key, key.replace("-", "_"))
-            if dest not in opts:
-                raise _UsageError(f"config key {key!r} not valid for {cmd!r}")
-            opts[dest] = value
-    for dest, value in vars(ns).items():
-        if dest not in ("command", "config"):
-            opts[dest] = value
-    return opts
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """Parser defaults, then the config file, then explicit flags."""
+    ap, subparsers = _build_parser()
+    ns = ap.parse_args(argv)
+    if ns.config is None:
+        return ns
+    path = Path(ns.config)
+    if not path.exists():
+        raise _UsageError(f"config file not found: {ns.config}")
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise _UsageError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise _UsageError("config file must hold a JSON object")
+    known = set(vars(ns)) - {"command", "config"}
+    values = {}
+    for key, value in doc.items():
+        # "lambda" is a Python keyword, so its dest is "lam"
+        dest = "lam" if key == "lambda" else key.replace("-", "_")
+        if dest not in known:
+            raise _UsageError(f"config key {key!r} not valid for {ns.command!r}")
+        values[dest] = value
+    # the subparser fills its own defaults, so they are where the file goes
+    subparsers[ns.command].set_defaults(**values)
+    return ap.parse_args(argv)
 
 
-def _require(opts: dict, *names: str):
+def _require(ns: argparse.Namespace, *names: str):
     for name in names:
-        if opts.get(name) is None:
-            flag = "--" + {"lam": "lambda"}.get(name, name)
-            raise _UsageError(f"{flag} is required (flag or config)")
+        if getattr(ns, name) is None:
+            raise _UsageError(f"--{name} is required (flag or config)")
 
 
 def _write_out(data: bytes, out: str | None):
@@ -190,170 +156,86 @@ def _write_out(data: bytes, out: str | None):
         Path(out).write_bytes(data)
 
 
-def _instance_name(path: str) -> str:
-    return Path(path).name.partition(".")[0]
-
-
-def _train_cfg(opts: dict) -> TrainConfig:
-    kw: dict = {"seed": int(opts["seed"])}
-    if opts["epochs"] is not None:
-        kw["max_epochs"] = int(opts["epochs"])
-    if opts["lr"] is not None:
-        kw["learning_rate"] = float(opts["lr"])
-    if opts.get("d0") is not None:
-        kw["d0"] = int(opts["d0"])
-    if opts.get("d1") is not None:
-        kw["d1"] = int(opts["d1"])
-    return TrainConfig(**kw)
-
-
-def _emit_row(row: dict, fmt: str, out: str | None):
-    if fmt == "csv":
-        cells = ",".join(_csv_cell(row[k]) for k in CSV_HEADER.split(","))
-        data = (CSV_HEADER + "\n" + cells + "\n").encode()
-    else:
-        data = (json.dumps(row) + "\n").encode()
-    _write_out(data, out)
-
-
-def _row_for(
-    opts: dict, method: str, obj: float, feasible: bool, n: int, m: int,
-    runtime_ms: float, seed: int, assignment=None,
-) -> dict:
-    name = _instance_name(opts["input"])
-    kind = ProblemKind(opts["problem"])
-    ref = best_known(name)
-    row = {
-        "instance": name,
-        "n": n,
-        "m": m,
-        "method": method,
-        "objective": float(obj),
-        "feasible": bool(feasible),
-        "runtime_ms": runtime_ms,
-        "seed": seed,
-        "epsilon": relative_error(obj, ref, kind.maximize) if ref else None,
+def _suite_spec(ns: argparse.Namespace, instances, methods, seeds) -> SuiteSpec:
+    """Run settings from the parsed flags; settings a command has no flag
+    for keep the SuiteSpec defaults."""
+    opts = vars(ns)
+    settings = {
+        field: convert(opts[dest])
+        for dest, (field, convert) in _SPEC_FIELDS.items()
+        if opts.get(dest) is not None
     }
-    if assignment is not None:
-        row["assignment"] = [int(b) for b in assignment]
-    return row
+    return SuiteSpec(ProblemKind(ns.problem), instances, methods, seeds, **settings)
 
 
-def _cmd_gen(opts: dict) -> int:
-    _require(opts, "n", "d")
-    g = generate_d_regular(int(opts["n"]), int(opts["d"]), int(opts["seed"]))
-    _write_out(write_gset(g).encode(), opts["out"])
+def _cmd_gen(ns: argparse.Namespace) -> int:
+    _require(ns, "n", "d")
+    g = generate_d_regular(int(ns.n), int(ns.d), int(ns.seed))
+    _write_out(write_gset(g).encode(), ns.out)
     return 0
 
 
-def _cmd_solve(opts: dict) -> int:
-    _require(opts, "problem", "input")
-    kind = ProblemKind(opts["problem"])
-    g = load_gset(opts["input"])
-    t0 = time.perf_counter()
-    q = build_qubo(kind, g, float(opts["penalty"]))
-    soft, _ = train(g, q, _train_cfg(opts))
-    x = project_and_repair(kind, g, soft, polish=bool(opts["polish"]))
-    ms = (time.perf_counter() - t0) * 1000.0
-    row = _row_for(
-        opts, "gnn-solver", objective(kind, g, x), is_feasible(kind, g, x),
-        g.n, g.m, ms, int(opts["seed"]), assignment=x,
-    )
-    _emit_row(row, opts["format"], opts["out"])
-    return 0
-
-
-def _cmd_dfl(opts: dict) -> int:
-    _require(opts, "problem", "input")
-    g = load_gset(opts["input"])
-    cfg = PipelineConfig(
-        kind=ProblemKind(opts["problem"]),
-        observe_fraction=float(opts["observe"]),
-        lam=float(opts["lam"]),
-        predictor_cfg=TrainConfig(seed=int(opts["seed"])),
-        solver_cfg=_train_cfg(opts),
-        seed=int(opts["seed"]),
-        penalty=float(opts["penalty"]),
-        polish=bool(opts["polish"]),
-    )
-    res = end_to_end_solve(g, cfg)
-    if opts["format"] == "csv":
-        row = _row_for(
-            opts, "dfl-pipeline", res.objective_true, res.feasible_true,
-            g.n, g.m, res.runtime_ms, int(opts["seed"]),
-        )
-        _emit_row(row, "csv", opts["out"])
+def _cmd_run(ns: argparse.Namespace) -> int:
+    """solve, dfl and oracle: one bench row for one instance file."""
+    _require(ns, "problem", "input")
+    inst = InstanceSpec(name=Path(ns.input).name.partition(".")[0], path=ns.input)
+    method = _METHODS[ns.command]
+    seed = int(getattr(ns, "seed", 0))  # oracle takes no seed
+    spec = _suite_spec(ns, (inst,), (method,), (seed,))
+    g = inst.load()
+    if method == "dfl-pipeline" and ns.format == "json":
+        res = end_to_end_solve(g, _pipeline_cfg(spec, seed))
+        data = (res.to_json() + "\n").encode()
     else:
-        _write_out((res.to_json() + "\n").encode(), opts["out"])
+        row = _run_row(spec, inst.name, g, method, seed, assignment=True)
+        if ns.format == "csv":
+            data = emit_report(BenchReport(rows=(row,), metadata={}), "csv")
+        else:
+            data = (json.dumps(row) + "\n").encode()
+    _write_out(data, ns.out)
     return 0
 
 
-def _cmd_oracle(opts: dict) -> int:
-    _require(opts, "problem", "input")
-    kind = ProblemKind(opts["problem"])
-    g = load_gset(opts["input"])
-    t0 = time.perf_counter()
-    x, val = brute_force_optimum(kind, g)
-    ms = (time.perf_counter() - t0) * 1000.0
-    row = _row_for(opts, "oracle", val, True, g.n, g.m, ms, 0, assignment=x)
-    _emit_row(row, opts["format"], opts["out"])
-    return 0
-
-
-def _cmd_bench(opts: dict) -> int:
-    _require(opts, "problem", "instances", "methods")
-    if not isinstance(opts["instances"], list):
-        raise _UsageError("bench config must list instances")
-    if not isinstance(opts["methods"], list):
-        raise _UsageError("bench config must list methods")
+def _cmd_bench(ns: argparse.Namespace) -> int:
+    _require(ns, "problem", "instances", "methods")
+    for key in ("instances", "methods"):
+        if not isinstance(getattr(ns, key), list):
+            raise _UsageError(f"bench config must list {key}")
     try:
-        instances = tuple(InstanceSpec(**d) for d in opts["instances"])
+        instances = tuple(InstanceSpec(**d) for d in ns.instances)
     except TypeError as exc:
         raise _UsageError(f"bad instance entry: {exc}") from exc
-    base = int(opts["seed"])
-    spec = SuiteSpec(
-        problem=ProblemKind(opts["problem"]),
-        instances=instances,
-        methods=tuple(opts["methods"]),
-        seeds=tuple(range(base, base + int(opts["seeds"]))),
-        penalty=float(opts["penalty"]),
-        polish=bool(opts["polish"]),
-        observe_fraction=float(opts["observe"]),
-        lam=float(opts["lam"]),
-        epochs=opts["epochs"],
-        lr=opts["lr"],
-        d0=opts.get("d0"),
-        d1=opts.get("d1"),
-    )
-    _write_out(emit_report(run_suite(spec), opts["format"]), opts["out"])
+    try:
+        _worker_count()
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    base = int(ns.seed)
+    seeds = tuple(range(base, base + int(ns.seeds)))
+    spec = _suite_spec(ns, instances, tuple(ns.methods), seeds)
+    _write_out(emit_report(run_suite(spec), ns.format), ns.out)
     return 0
 
 
 _COMMANDS = {
     "gen": _cmd_gen,
-    "solve": _cmd_solve,
-    "dfl": _cmd_dfl,
-    "oracle": _cmd_oracle,
+    "solve": _cmd_run,
+    "dfl": _cmd_run,
+    "oracle": _cmd_run,
     "bench": _cmd_bench,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-        opts = _merge_options(ns)
-        return _COMMANDS[ns.command](opts)
+        ns = _parse(argv)
+        return _COMMANDS[ns.command](ns)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except TrainingDivergedError as exc:
         print(f"solver diverged: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, GsetFormatError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

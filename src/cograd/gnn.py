@@ -10,6 +10,7 @@ computed analytically; the only dependency is numpy/scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,6 +31,7 @@ __all__ = [
     "forward",
     "relaxed_loss",
     "backward",
+    "descend",
     "train",
     "project_and_repair",
     "export_loss_trace",
@@ -222,6 +224,50 @@ class Adam:
             a -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
 
 
+def descend(
+    arrays: list[np.ndarray],
+    evaluate: Callable[[], tuple[float, Callable[[], list[np.ndarray]]]],
+    cfg: TrainConfig,
+    on_best: Callable[[], None] | None = None,
+) -> list[tuple[int, float, float]]:
+    """Adam on ``arrays``, in place, under the best-loss patience window.
+
+    Each epoch ``evaluate()`` returns the loss at the current arrays and a
+    function giving one gradient per array, called only when a step follows.
+    ``on_best`` runs whenever the best loss improves. Stops at max_epochs or
+    once the best loss gained less than ``tolerance`` over the last
+    ``patience`` epochs (a window, so slow steady descent keeps going).
+    Returns the (epoch, loss, best_loss) trace, epochs starting at 1.
+
+    Raises
+    ------
+    TrainingDivergedError
+        If the loss becomes non-finite; the message names the epoch.
+    """
+    opt = Adam(cfg.learning_rate)
+    best_loss = np.inf
+    trace: list[tuple[int, float, float]] = []
+    # non-finite arithmetic is caught by the loss guard, not warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.max_epochs + 1):
+            loss, grads = evaluate()
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+            if loss < best_loss:
+                best_loss = loss
+                if on_best is not None:
+                    on_best()
+            trace.append((epoch, float(loss), float(best_loss)))
+            if (
+                epoch > cfg.patience
+                and trace[epoch - 1 - cfg.patience][2] - best_loss
+                < cfg.tolerance
+            ):
+                break
+            opt.step(arrays, grads())
+    return trace
+
+
 def train(
     g: Graph,
     q: QuboMatrix,
@@ -233,9 +279,7 @@ def train(
     The loss trace holds (epoch, loss, best_loss) rows, epochs starting at 1.
     ``loss_offset`` is a constant added to every reported loss (used when the
     training objective carries a frozen auxiliary term); it shifts the trace
-    without changing any descent decision. Training stops at max_epochs or
-    once the best loss has not improved by at least ``tolerance`` for
-    ``patience`` consecutive epochs.
+    without changing any descent decision. Stopping follows :func:`descend`.
 
     Raises
     ------
@@ -251,34 +295,18 @@ def train(
     if cfg.d1 is not None:
         d1 = cfg.d1
     params = init_params(g.n, d0, d1, cfg.seed)
-    opt = Adam(cfg.learning_rate)
+    parts = best_p = None
 
-    best_loss = np.inf
-    best_p: np.ndarray | None = None
-    trace: list[tuple[int, float, float]] = []
-    # non-finite arithmetic is caught by the loss guard, not warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(1, cfg.max_epochs + 1):
-            parts = _forward_parts(params, a_hat)
-            p = parts[0]
-            loss = q.value(p) + loss_offset
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            if loss < best_loss:
-                best_loss = loss
-                best_p = p.copy()
-            trace.append((epoch, float(loss), float(best_loss)))
-            # stop once the best loss gained less than tolerance over the last
-            # `patience` epochs (a window, so slow steady descent keeps going)
-            if (
-                epoch > cfg.patience
-                and trace[epoch - 1 - cfg.patience][2] - best_loss
-                < cfg.tolerance
-            ):
-                break
-            opt.step(params.arrays(), _grads(params, a_hat, q, parts))
+    def evaluate():
+        nonlocal parts
+        parts = _forward_parts(params, a_hat)
+        return q.value(parts[0]) + loss_offset, lambda: _grads(params, a_hat, q, parts)
 
-    assert best_p is not None
+    def keep_best():
+        nonlocal best_p
+        best_p = parts[0].copy()
+
+    trace = descend(params.arrays(), evaluate, cfg, on_best=keep_best)
     return SoftAssignment(best_p), trace
 
 

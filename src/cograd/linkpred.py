@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .gnn import Adam, TrainConfig, default_dims
+from .gnn import TrainConfig, default_dims, descend
 from .graph import Graph, ObservedSample, renormalized_adjacency
 
 __all__ = [
@@ -88,7 +88,8 @@ def known_graph(sample: ObservedSample, full_n: int | None = None) -> Graph:
     return Graph(n, zip(kept[og.edge_u], kept[og.edge_v], og.edge_w))
 
 
-def _encode(params: PredictorParams, a_known) -> np.ndarray:
+def _encode(params: PredictorParams, known: ObservedSample) -> np.ndarray:
+    a_known = renormalized_adjacency(known_graph(known, params.full_n))
     return (a_known @ params.embed) @ params.w
 
 
@@ -101,12 +102,14 @@ def train_predictor(
     sampled observed non-edges and takes one adaptive-moment step on the
     mean binary cross-entropy; embeddings of unobserved nodes only feel the
     weight-decay pull. Stopping follows the same best-loss window as the
-    solver. Deterministic for a fixed config.
+    solver (:func:`cograd.gnn.descend`). Deterministic for a fixed config.
 
     Raises
     ------
     ValueError
         If the observed graph has no edges to learn from.
+    TrainingDivergedError
+        If the loss becomes non-finite; the message names the epoch.
     """
     og = sample.observed_graph
     if og.m == 0:
@@ -124,7 +127,6 @@ def train_predictor(
         embed=rng.normal(0.0, 1.0 / np.sqrt(d_in), (full_n, d_in)),
         w=rng.normal(0.0, 1.0 / np.sqrt(d_in), (d_in, d_z)),
     )
-    opt = Adam(cfg.learning_rate)
 
     kept = sample.kept_nodes
     pos_u = kept[og.edge_u]
@@ -135,9 +137,8 @@ def train_predictor(
     n_free_pairs = k * (k - 1) // 2 - og.m
 
     unobs = np.setdiff1d(np.arange(full_n), kept)
-    best = np.inf
-    best_hist: list[float] = []
-    for epoch in range(1, cfg.max_epochs + 1):
+
+    def evaluate():
         if n_free_pairs > 0:
             neg_u, neg_v = _sample_non_edges(rng, k, og.m, edge_keys)
             u = np.concatenate([pos_u, kept[neg_u]])
@@ -151,20 +152,20 @@ def train_predictor(
         s = np.clip(expit(np.sum(z[u] * z[v], axis=1)), _S_EPS, 1.0 - _S_EPS)
         loss = float(-np.mean(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)))
 
-        best = min(best, loss)
-        best_hist.append(best)
-        if epoch > cfg.patience and best_hist[-1 - cfg.patience] - best < cfg.tolerance:
-            break
+        def grads():
+            ds = (s - y) / len(y)
+            dz = np.zeros_like(z)
+            np.add.at(dz, u, ds[:, None] * z[v])
+            np.add.at(dz, v, ds[:, None] * z[u])
+            dw = m_in.T @ dz
+            dm = dz @ params.w.T
+            dembed = a_known @ dm
+            dembed[unobs] += _WEIGHT_DECAY * params.embed[unobs]
+            return [dembed, dw]
 
-        ds = (s - y) / len(y)
-        dz = np.zeros_like(z)
-        np.add.at(dz, u, ds[:, None] * z[v])
-        np.add.at(dz, v, ds[:, None] * z[u])
-        dw = m_in.T @ dz
-        dm = dz @ params.w.T
-        dembed = a_known @ dm
-        dembed[unobs] += _WEIGHT_DECAY * params.embed[unobs]
-        opt.step([params.embed, params.w], [dembed, dw])
+        return loss, grads
+
+    descend([params.embed, params.w], evaluate, cfg)
     return params
 
 
@@ -189,8 +190,7 @@ def predict_adjacency(
     params: PredictorParams, known: ObservedSample
 ) -> SoftAdjacency:
     """Score every pair, then overwrite observed pairs with ground truth."""
-    kg = known_graph(known, params.full_n)
-    z = _encode(params, renormalized_adjacency(kg))
+    z = _encode(params, known)
     probs = expit(z @ z.T)
     np.fill_diagonal(probs, 0.0)
     probs = (probs + probs.T) / 2.0
@@ -218,8 +218,7 @@ def pair_scores(
 ) -> np.ndarray:
     """Decoder probabilities sigma(z_i . z_j) for an array of (i, j) rows,
     without the observed-evidence override."""
-    kg = known_graph(known, params.full_n)
-    z = _encode(params, renormalized_adjacency(kg))
+    z = _encode(params, known)
     pairs = np.asarray(pairs, dtype=np.int64)
     return expit(np.sum(z[pairs[:, 0]] * z[pairs[:, 1]], axis=1))
 

@@ -2,9 +2,11 @@
 
 The end-to-end flow: sample a node-induced observation of the true graph,
 train the edge predictor on it, build a QUBO whose edge weights are the
-predicted probabilities, descend the relaxed energy (plus the predictor's
-frozen reconstruction loss, weighted by lambda) with the GCN solver, then
-repair and score the decision on the true graph it will be executed on.
+predicted probabilities, descend the relaxed energy with the GCN solver,
+then repair and score the decision on the true graph it will be executed
+on. Lambda times the predictor's frozen reconstruction loss is a constant:
+it shifts the solver's reported loss and ``combined_loss`` but enters no
+gradient, so it changes no decision.
 """
 
 from __future__ import annotations
@@ -56,7 +58,9 @@ class PipelineConfig:
 
     ``seed`` drives the observation sampling; the predictor and solver carry
     their own seeds inside their configs. ``lam`` weighs the predictor's
-    reconstruction loss inside the solver objective.
+    reconstruction loss, a constant once the predictor is trained: it is
+    added to the solver's reported loss and to ``combined_loss``, enters no
+    gradient and changes no decision.
     """
 
     kind: ProblemKind

@@ -6,8 +6,11 @@ import json
 
 import pytest
 
+from cograd.bench import InstanceSpec, SuiteSpec, run_suite
 from cograd.cli import main
-from cograd.graph import parse_gset, write_gset, Graph
+from cograd.gnn import TrainConfig, project_and_repair, train
+from cograd.graph import load_gset, parse_gset, write_gset, Graph
+from cograd.qubo import ProblemKind, build_qubo
 
 
 @pytest.fixture()
@@ -133,3 +136,58 @@ def test_out_flag_writes_file(tmp_path, ring6):
     assert main(["oracle", "--problem", "mis", "--input", ring6,
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["method"] == "oracle"
+
+
+def test_bad_thread_count_is_usage_error(tmp_path, ring6, capsys, monkeypatch):
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({
+        "problem": "maxcut",
+        "instances": [{"name": "ring6", "path": ring6}],
+        "methods": ["dga"],
+    }))
+    monkeypatch.setenv("GDFL_THREADS", "abc")
+    assert main(["bench", "--config", str(cfg)]) == 1
+    assert "GDFL_THREADS" in capsys.readouterr().err
+
+
+def test_solve_row_matches_suite_row(tmp_path, capsys):
+    # G14 has a best-known value, so epsilon is compared as a number
+    path = tmp_path / "G14.txt"
+    assert main(["gen", "--n", "30", "--d", "3", "--seed", "4",
+                 "--out", str(path)]) == 0
+    assert main(["solve", "--problem", "mis", "--input", str(path),
+                 "--seed", "2", "--epochs", "300", "--format", "json"]) == 0
+    cli_row = json.loads(capsys.readouterr().out)
+    spec = SuiteSpec(
+        problem=ProblemKind.MIS,
+        instances=(InstanceSpec("G14", generator="d-regular", n=30, d=3, seed=4),),
+        methods=("gnn-solver",),
+        seeds=(2,),
+        epochs=300,
+    )
+    (row,) = run_suite(spec).rows
+    assert row["epsilon"] is not None
+    for key in ("objective", "feasible", "n", "m", "seed", "epsilon"):
+        assert cli_row[key] == row[key], key
+
+
+def test_config_embedding_dims_reach_solver(tmp_path, capsys):
+    path = tmp_path / "reg12.txt"
+    assert main(["gen", "--n", "12", "--d", "3", "--seed", "2",
+                 "--out", str(path)]) == 0
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps({
+        "problem": "maxcut", "input": str(path), "epochs": 200, "seed": 3,
+        "d0": 16, "d1": 8,
+    }))
+    assert main(["solve", "--config", str(cfg)]) == 0
+    got = json.loads(capsys.readouterr().out)["assignment"]
+    g = load_gset(path)
+    q = build_qubo(ProblemKind.MAXCUT, g)
+
+    def solve(**dims):
+        soft, _ = train(g, q, TrainConfig(max_epochs=200, seed=3, **dims))
+        return [int(b) for b in project_and_repair(ProblemKind.MAXCUT, g, soft, polish=True)]
+
+    assert got == solve(d0=16, d1=8)
+    assert got != solve()  # the default widths decide differently here

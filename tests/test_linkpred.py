@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cograd.gnn import TrainConfig
+from cograd.gnn import TrainConfig, TrainingDivergedError
 from cograd.graph import (
     Graph,
     ObservedSample,
@@ -67,6 +67,13 @@ def test_train_predictor_rejects_edgeless_observation():
     assert s.observed_graph.m == 0
     with pytest.raises(ValueError, match="no edges"):
         train_predictor(s, 10, _FAST)
+
+
+def test_train_predictor_divergence_names_epoch():
+    _, s = _sample()
+    cfg = TrainConfig(seed=0, learning_rate=1e150, max_epochs=50)
+    with pytest.raises(TrainingDivergedError, match="epoch"):
+        train_predictor(s, 20, cfg)
 
 
 def test_single_observed_edge_scores_high():

@@ -66,9 +66,15 @@ class InstanceSpec:
 
     def load(self) -> Graph:
         if self.path is not None:
-            if not os.path.exists(self.path):
-                raise FileNotFoundError(f"instance file not found: {self.path}")
-            return load_gset(self.path)
+            try:
+                return load_gset(self.path)
+            except FileNotFoundError:
+                msg = f"instance file not found: {self.path}"
+                raise FileNotFoundError(msg) from None
+            except OSError as exc:
+                # a directory, an unreadable file or a bad gzip: bad input
+                msg = f"cannot read instance file {self.path}: {exc.strerror or exc}"
+                raise ValueError(msg) from None
         if self.generator == "d-regular":
             return generate_d_regular(self.n, self.d, self.seed)
         if self.generator == "erdos-renyi":

@@ -131,15 +131,23 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     if not isinstance(doc, dict):
         raise _UsageError("config file must hold a JSON object")
     known = set(vars(ns)) - {"command", "config"}
+    sub = subparsers[ns.command]
+    # argparse checks choices on command-line values only, not on defaults
+    choices = {a.dest: a.choices for a in sub._actions if a.choices is not None}
     values = {}
     for key, value in doc.items():
         # "lambda" is a Python keyword, so its dest is "lam"
         dest = "lam" if key == "lambda" else key.replace("-", "_")
         if dest not in known:
             raise _UsageError(f"config key {key!r} not valid for {ns.command!r}")
+        if dest in choices and value not in choices[dest]:
+            allowed = ", ".join(map(repr, choices[dest]))
+            raise _UsageError(
+                f"config key {key!r}: invalid choice {value!r} (choose from {allowed})"
+            )
         values[dest] = value
     # the subparser fills its own defaults, so they are where the file goes
-    subparsers[ns.command].set_defaults(**values)
+    sub.set_defaults(**values)
     return ap.parse_args(argv)
 
 

@@ -5,6 +5,12 @@ convolutions, ReLU then sigmoid, to per-node probabilities p. Training
 descends the relaxed energy H(p) directly (no labels), after which p is
 thresholded and repaired into a feasible binary assignment. Gradients are
 computed analytically; the only dependency is numpy/scipy.
+
+:func:`train` allocates one workspace of epoch buffers per call and the
+epoch writes into it, as :class:`Adam` does into its own moment and scratch
+arrays: at large n the epoch is otherwise bound by allocating and faulting
+in fresh n x d temporaries. The public :func:`forward` and :func:`backward`
+run the same kernel on a fresh workspace, so they return new arrays.
 """
 
 from __future__ import annotations
@@ -142,21 +148,72 @@ def _check_shapes(params: GcnParams, a_hat: sp.csr_array) -> None:
         )
 
 
-def _forward_parts(params: GcnParams, a_hat: sp.csr_array):
-    _check_shapes(params, a_hat)
-    p0 = a_hat @ params.h0
-    z1 = p0 @ params.w0
-    h1 = np.maximum(z1, 0.0)
-    p1 = a_hat @ h1
-    z2 = p1 @ params.w1
-    p = np.clip(expit(z2[:, 0]), _P_EPS, 1.0 - _P_EPS)
-    return p, p0, z1, h1, p1
+class _Workspace:
+    """Buffers of one solver epoch at fixed shapes.
+
+    :meth:`forward` and :meth:`backward` write every intermediate into
+    these arrays, so an epoch allocates nothing of size n x d; the sparse
+    products are copied in. The gradients :meth:`backward` returns are
+    buffers of the workspace, overwritten by its next call. Without
+    ``grads`` only the forward buffers exist, so a lone forward pass
+    touches no more fresh memory than it uses.
+    """
+
+    def __init__(self, n: int, d0: int, d1: int, *, grads: bool = True):
+        self.p0 = np.empty((n, d0))
+        self.h1 = np.empty((n, d1))
+        self.p1 = np.empty((n, d1))
+        self.z2 = np.empty((n, 1))
+        self.p = np.empty(n)
+        if not grads:
+            return
+        self.dz2 = np.empty((n, 1))
+        self.one_minus_p = np.empty(n)
+        self.dp1 = np.empty((n, d1))
+        self.dh1 = np.empty((n, d1))
+        self.relu_mask = np.empty((n, d1), dtype=bool)
+        self.dp0 = np.empty((n, d0))
+        self.dh0 = np.empty((n, d0))
+        self.dw0 = np.empty((d0, d1))
+        self.dw1 = np.empty((d1, 1))
+
+    def forward(self, params: GcnParams, a_hat: sp.csr_array) -> np.ndarray:
+        """p = sigmoid(Â relu(Â h0 w0) w1) into ``self.p``, which it returns."""
+        np.copyto(self.p0, a_hat @ params.h0)
+        np.matmul(self.p0, params.w0, out=self.h1)  # z1, rectified in place
+        np.maximum(self.h1, 0.0, out=self.h1)
+        np.copyto(self.p1, a_hat @ self.h1)
+        np.matmul(self.p1, params.w1, out=self.z2)
+        expit(self.z2[:, 0], out=self.p)
+        return np.clip(self.p, _P_EPS, 1.0 - _P_EPS, out=self.p)
+
+    def backward(
+        self, params: GcnParams, a_hat: sp.csr_array, q: QuboMatrix
+    ) -> list[np.ndarray]:
+        """Gradients [dh0, dw0, dw1] at the last :meth:`forward` of params."""
+        p, dz2 = self.p, self.dz2[:, 0]
+        np.multiply(q.gradient(p), p, out=dz2)
+        np.subtract(1.0, p, out=self.one_minus_p)
+        dz2 *= self.one_minus_p
+        np.matmul(self.p1.T, self.dz2, out=self.dw1)
+        np.matmul(self.dz2, params.w1.T, out=self.dp1)
+        np.copyto(self.dh1, a_hat @ self.dp1)
+        # h1 = relu(z1) is positive exactly where z1 is
+        np.greater(self.h1, 0.0, out=self.relu_mask)
+        dz1 = np.multiply(self.dh1, self.relu_mask, out=self.dh1)
+        np.matmul(self.p0.T, dz1, out=self.dw0)
+        np.matmul(dz1, params.w0.T, out=self.dp0)
+        np.copyto(self.dh0, a_hat @ self.dp0)
+        return [self.dh0, self.dw0, self.dw1]
 
 
 def forward(params: GcnParams, a_hat: sp.csr_array) -> SoftAssignment:
-    """p = sigmoid(Â relu(Â h0 w0) w1), one probability per node."""
-    p, *_ = _forward_parts(params, a_hat)
-    return SoftAssignment(p)
+    """p = sigmoid(Â relu(Â h0 w0) w1), one probability per node.
+
+    Returns a new array on every call."""
+    _check_shapes(params, a_hat)
+    ws = _Workspace(*params.h0.shape, params.w0.shape[1], grads=False)
+    return SoftAssignment(ws.forward(params, a_hat))
 
 
 def relaxed_loss(p: SoftAssignment | np.ndarray, q: QuboMatrix) -> float:
@@ -164,34 +221,26 @@ def relaxed_loss(p: SoftAssignment | np.ndarray, q: QuboMatrix) -> float:
     return q.value(np.asarray(p))
 
 
-def _grads(params: GcnParams, a_hat: sp.csr_array, q: QuboMatrix, parts):
-    p, p0, z1, _h1, p1 = parts
-    dp = q.gradient(p)
-    dz2 = (dp * p * (1.0 - p))[:, None]
-    dw1 = p1.T @ dz2
-    dp1 = dz2 @ params.w1.T
-    dh1 = a_hat @ dp1
-    dz1 = dh1 * (z1 > 0.0)
-    dw0 = p0.T @ dz1
-    dp0 = dz1 @ params.w0.T
-    dh0 = a_hat @ dp0
-    return [dh0, dw0, dw1]
-
-
 def backward(params: GcnParams, a_hat: sp.csr_array, q: QuboMatrix) -> GcnParams:
     """Exact gradients of relaxed_loss(forward(params)) w.r.t. each tensor.
 
     Chain rule through dH/dp = 2 Q_offdiag p + diag, the sigmoid, both
     convolutions (Â is symmetric, so the adjoint is Â itself) and the ReLU
-    mask. Returned in a GcnParams of matching shapes.
+    mask. Returned in a GcnParams of matching shapes, new arrays on every
+    call.
     """
-    parts = _forward_parts(params, a_hat)
-    dh0, dw0, dw1 = _grads(params, a_hat, q, parts)
-    return GcnParams(h0=dh0, w0=dw0, w1=dw1)
+    _check_shapes(params, a_hat)
+    ws = _Workspace(*params.h0.shape, params.w0.shape[1])
+    ws.forward(params, a_hat)
+    return GcnParams(*ws.backward(params, a_hat, q))
 
 
 class Adam:
-    """Adaptive moment estimation with bias correction (decay 0.9/0.999)."""
+    """Adaptive moment estimation with bias correction (decay 0.9/0.999).
+
+    The moments and two scratch arrays per parameter are allocated on the
+    first step and reused, so a step allocates nothing of parameter size.
+    """
 
     def __init__(
         self,
@@ -205,23 +254,31 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self._m: list[np.ndarray] | None = None
-        self._v: list[np.ndarray] | None = None
+        self._state: list[tuple[np.ndarray, ...]] | None = None
 
     def step(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """Update each array in place from its gradient."""
-        if self._m is None:
-            self._m = [np.zeros_like(a) for a in arrays]
-            self._v = [np.zeros_like(a) for a in arrays]
+        """Update each array in place from its gradient.
+
+        Computes m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+        a -= lr (m / c1) / (sqrt(v / c2) + eps), operation by operation.
+        """
+        if self._state is None:
+            self._state = [tuple(np.zeros_like(a) for _ in range(4)) for a in arrays]
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for a, g, m, v in zip(arrays, grads, self._m, self._v):
+        for a, g, (m, v, num, den) in zip(arrays, grads, self._state):
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=num)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            a -= self.learning_rate * (m / c1) / (np.sqrt(v / c2) + self.epsilon)
+            np.multiply(g, 1.0 - self.beta2, out=num)
+            v += np.multiply(num, g, out=num)
+            np.divide(m, c1, out=num)
+            num *= self.learning_rate
+            np.divide(v, c2, out=den)
+            np.sqrt(den, out=den)
+            den += self.epsilon
+            a -= np.divide(num, den, out=num)
 
 
 def descend(
@@ -295,16 +352,15 @@ def train(
     if cfg.d1 is not None:
         d1 = cfg.d1
     params = init_params(g.n, d0, d1, cfg.seed)
-    parts = best_p = None
+    ws = _Workspace(g.n, d0, d1)
+    best_p = np.empty(g.n)
 
     def evaluate():
-        nonlocal parts
-        parts = _forward_parts(params, a_hat)
-        return q.value(parts[0]) + loss_offset, lambda: _grads(params, a_hat, q, parts)
+        p = ws.forward(params, a_hat)
+        return q.value(p) + loss_offset, lambda: ws.backward(params, a_hat, q)
 
     def keep_best():
-        nonlocal best_p
-        best_p = parts[0].copy()
+        np.copyto(best_p, ws.p)
 
     trace = descend(params.arrays(), evaluate, cfg, on_best=keep_best)
     return SoftAssignment(best_p), trace

@@ -131,6 +131,27 @@ def test_malformed_config_is_usage_error(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 1
 
 
+def test_solve_directory_input_is_data_error(tmp_path, capsys):
+    assert main(["solve", "--problem", "maxcut", "--input", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(tmp_path) in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "dfl", "oracle"])
+@pytest.mark.parametrize("key", ["format", "problem"])
+def test_config_value_outside_choices_is_usage_error(tmp_path, ring6, capsys,
+                                                     command, key):
+    doc = {"problem": "maxcut", "input": ring6, "format": "json"}
+    doc[key] = "xml"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'xml'" in captured.err and key in captured.err
+
+
 def test_out_flag_writes_file(tmp_path, ring6):
     out = tmp_path / "row.json"
     assert main(["oracle", "--problem", "mis", "--input", ring6,

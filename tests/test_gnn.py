@@ -3,13 +3,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cograd.graph import Graph, generate_erdos_renyi, renormalized_adjacency
+from cograd.graph import (
+    Graph,
+    generate_d_regular,
+    generate_erdos_renyi,
+    renormalized_adjacency,
+)
 from cograd.gnn import (
     Adam,
     GcnParams,
     SoftAssignment,
     TrainConfig,
     TrainingDivergedError,
+    _Workspace,
     backward,
     default_dims,
     export_loss_trace,
@@ -174,6 +180,88 @@ def test_adam_first_step_size_is_learning_rate():
     a = np.zeros(3)
     opt.step([a], [np.array([1.0, -2.0, 0.5])])
     assert np.allclose(a, [-0.01, 0.01, -0.01], atol=1e-6)
+
+
+def _textbook_adam_step(arrays, grads, m, v, t, lr):
+    """Adam step t out of place: m, v and the update as single expressions."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    for i, (x, g) in enumerate(zip(arrays, grads)):
+        m[i] = b1 * m[i] + (1.0 - b1) * g
+        v[i] = b2 * v[i] + (1.0 - b2) * g * g
+        x -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
+
+
+def test_adam_steps_match_textbook_bit_for_bit():
+    rng = np.random.default_rng(11)
+    start = [rng.normal(size=(40, 6)), rng.normal(size=(6, 1))]
+    grads = [[rng.normal(scale=10.0**k, size=x.shape) for x in start]
+             for k in (-3, 0, 2, -1, 1, 0)]
+    ours = [x.copy() for x in start]
+    opt = Adam(0.03)
+    for g in grads:
+        opt.step(ours, g)
+    ref = [x.copy() for x in start]
+    m, v = [np.zeros_like(x) for x in ref], [np.zeros_like(x) for x in ref]
+    for t, g in enumerate(grads, start=1):
+        _textbook_adam_step(ref, g, m, v, t, 0.03)
+    for x, y in zip(ours, ref):
+        assert np.array_equal(x, y)
+
+
+def test_forward_backward_return_fresh_arrays():
+    g = generate_erdos_renyi(20, 0.3, seed=4)
+    q = build_qubo(ProblemKind.MIS, g)
+    a_hat = renormalized_adjacency(g)
+    params = init_params(20, 5, 3, seed=4)
+    ws = _Workspace(20, 5, 3)
+    ws.forward(params, a_hat)
+    ws.backward(params, a_hat, q)
+    buffers = list(vars(ws).values()) + params.arrays()
+    first = backward(params, a_hat, q).arrays() + [np.asarray(forward(params, a_hat))]
+    second = backward(params, a_hat, q).arrays() + [np.asarray(forward(params, a_hat))]
+    for x, y in zip(first, second):
+        assert np.array_equal(x, y)
+    for i, x in enumerate(first + second):
+        for y in buffers + (first + second)[i + 1:]:
+            assert not np.shares_memory(x, y)
+
+
+def _reference_train(g, q, cfg):
+    """train() as a plain loop: public forward/backward, textbook Adam and
+    the best-loss patience window, every array out of place."""
+    a_hat = renormalized_adjacency(g)
+    params = init_params(g.n, *default_dims(g.n), cfg.seed)
+    m = [np.zeros_like(x) for x in params.arrays()]
+    v = [np.zeros_like(x) for x in params.arrays()]
+    best_loss, best_p, trace = np.inf, None, []
+    for epoch in range(1, cfg.max_epochs + 1):
+        p = np.asarray(forward(params, a_hat))
+        loss = relaxed_loss(p, q)
+        if loss < best_loss:
+            best_loss, best_p = loss, p.copy()
+        trace.append((epoch, loss, best_loss))
+        if (epoch > cfg.patience
+                and trace[epoch - 1 - cfg.patience][2] - best_loss < cfg.tolerance):
+            break
+        grads = backward(params, a_hat, q).arrays()
+        _textbook_adam_step(params.arrays(), grads, m, v, epoch, cfg.learning_rate)
+    return best_p, trace
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+@pytest.mark.parametrize("graph", ["regular", "isolated"])
+def test_train_bit_identical_to_reference_loop(kind, graph):
+    if graph == "regular":
+        g = generate_d_regular(40, 3, seed=2)
+    else:
+        g = Graph(12, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)])
+    q = build_qubo(kind, g)
+    cfg = TrainConfig(seed=3, max_epochs=250, patience=40, tolerance=1e-3)
+    sa, tr = train(g, q, cfg)
+    p_ref, tr_ref = _reference_train(g, q, cfg)
+    assert np.array_equal(np.asarray(sa), p_ref)
+    assert tr == tr_ref
 
 
 def test_train_deterministic_and_best_monotone():

@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import time
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -71,9 +72,11 @@ class InstanceSpec:
             except FileNotFoundError:
                 msg = f"instance file not found: {self.path}"
                 raise FileNotFoundError(msg) from None
-            except OSError as exc:
-                # a directory, an unreadable file or a bad gzip: bad input
-                msg = f"cannot read instance file {self.path}: {exc.strerror or exc}"
+            except (OSError, EOFError, zlib.error) as exc:
+                # a directory, an unreadable file, or a gzip that is not one,
+                # is cut short or is corrupt: bad input
+                reason = getattr(exc, "strerror", None) or exc
+                msg = f"cannot read instance file {self.path}: {reason}"
                 raise ValueError(msg) from None
         if self.generator == "d-regular":
             return generate_d_regular(self.n, self.d, self.seed)

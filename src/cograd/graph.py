@@ -57,8 +57,6 @@ class Graph:
     """
 
     def __init__(self, n: int, edges: Iterable[Sequence[float]] = ()):
-        if n < 0:
-            raise ValueError("node count must be nonnegative")
         us, vs, ws = [], [], []
         for e in edges:
             if len(e) == 2:
@@ -66,25 +64,59 @@ class Graph:
                 w = 1.0
             else:
                 u, v, w = e
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if u > v:
-                u, v = v, u
-            us.append(u)
-            vs.append(v)
+            us.append(int(u))
+            vs.append(int(v))
             ws.append(float(w))
+        self._build(n, np.asarray(us, dtype=np.int64),
+                    np.asarray(vs, dtype=np.int64), np.asarray(ws, dtype=np.float64))
 
-        edge_u = np.asarray(us, dtype=np.int64)
-        edge_v = np.asarray(vs, dtype=np.int64)
-        edge_w = np.asarray(ws, dtype=np.float64)
-        order = np.lexsort((edge_v, edge_u))
-        edge_u, edge_v, edge_w = edge_u[order], edge_v[order], edge_w[order]
+    @classmethod
+    def from_arrays(
+        cls,
+        n: int,
+        u: Sequence[int] | np.ndarray,
+        v: Sequence[int] | np.ndarray,
+        w: Sequence[float] | np.ndarray | None = None,
+    ) -> Graph:
+        """The graph with edges (u[i], v[i], w[i]); ``w`` defaults to ones.
+
+        Equal to ``Graph(n, zip(u, v, w))``, bit for bit, and raises the same
+        errors (for the first offending edge in input order), without a
+        Python-level loop over the edges.
+        """
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        w = np.ones(len(u)) if w is None else np.asarray(w, dtype=np.float64)
+        if not u.ndim == v.ndim == w.ndim == 1 or not len(u) == len(v) == len(w):
+            raise ValueError(
+                f"edge arrays must be 1-d of equal length, got shapes "
+                f"{u.shape}, {v.shape}, {w.shape}"
+            )
+        g = cls.__new__(cls)
+        g._build(n, u, v, w)
+        return g
+
+    def _build(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+        if n < 0:
+            raise ValueError("node count must be nonnegative")
+        out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        bad = out_of_range | (u == v)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            if out_of_range[i]:
+                raise ValueError(f"edge ({u[i]},{v[i]}) out of range for n={n}")
+            raise ValueError(f"self-loop at node {u[i]}")
+
+        # canonical u < v, sorted lexicographically: the key is monotone in
+        # (u, v) and the sort is stable, as lexsort((v, u)) would be
+        edge_u = np.minimum(u, v)
+        edge_v = np.maximum(u, v)
         key = edge_u * max(n, 1) + edge_v
-        if len(key) > 1 and np.any(np.diff(key) == 0):
-            i = int(np.nonzero(np.diff(key) == 0)[0][0])
+        order = np.argsort(key, kind="stable")
+        edge_u, edge_v, edge_w, key = edge_u[order], edge_v[order], w[order], key[order]
+        dup = np.diff(key) == 0
+        if np.any(dup):
+            i = int(np.argmax(dup))
             raise ValueError(f"duplicate edge ({edge_u[i + 1]},{edge_v[i + 1]})")
 
         self.n = n
@@ -92,18 +124,23 @@ class Graph:
         self.edge_v = edge_v
         self.edge_w = edge_w
 
-        # CSR over both directions, neighbor lists sorted per row.
-        src = np.concatenate([edge_u, edge_v])
-        dst = np.concatenate([edge_v, edge_u])
+        # CSR over both directions, neighbor lists sorted per row: a stable
+        # sort by row puts each row's lower neighbors (the v side, in
+        # ascending u) before its upper ones (the u side, in ascending v).
+        src = np.concatenate([edge_v, edge_u])
+        dst = np.concatenate([edge_u, edge_v])
         wts = np.concatenate([edge_w, edge_w])
-        order = np.lexsort((dst, src))
+        order = np.argsort(src, kind="stable")
         src, dst, wts = src[order], dst[order], wts[order]
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
         self.indices = dst
         self.weights = wts
-        self.degree = np.zeros(n, dtype=np.float64)
-        np.add.at(self.degree, src, wts)
+        # bincount adds in input order, as a per-edge loop over src would;
+        # with no edges it counts in integers, hence the cast
+        self.degree = np.bincount(src, weights=wts, minlength=n).astype(
+            np.float64, copy=False
+        )
 
     @property
     def m(self) -> int:
@@ -297,7 +334,7 @@ def generate_d_regular(n: int, d: int, seed: int) -> Graph:
         key = u * n + v
         if len(np.unique(key)) < len(key):
             continue
-        return Graph(n, zip(u, v))
+        return Graph.from_arrays(n, u, v)
 
 
 def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
@@ -307,7 +344,7 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     iu, iv = np.triu_indices(n, k=1)
     mask = rng.random(len(iu)) < p
-    return Graph(n, zip(iu[mask], iv[mask]))
+    return Graph.from_arrays(n, iu[mask], iv[mask])
 
 
 def sample_observed_subgraph(g: Graph, fraction: float, seed: int) -> ObservedSample:
@@ -332,10 +369,12 @@ def sample_observed_subgraph(g: Graph, fraction: float, seed: int) -> ObservedSa
     pos = np.full(g.n, -1, dtype=np.int64)
     pos[kept] = np.arange(k)
     both = (pos[g.edge_u] >= 0) & (pos[g.edge_v] >= 0)
-    induced = zip(pos[g.edge_u[both]], pos[g.edge_v[both]], g.edge_w[both])
+    induced = Graph.from_arrays(
+        k, pos[g.edge_u[both]], pos[g.edge_v[both]], g.edge_w[both]
+    )
     return ObservedSample(
         kept_nodes=kept,
-        observed_graph=Graph(k, induced),
+        observed_graph=induced,
         original_n=g.n,
     )
 
@@ -361,8 +400,25 @@ def renormalized_adjacency(g: Graph) -> sp.csr_array:
             "normalization needs positive row sums"
         )
     inv_sqrt = 1.0 / np.sqrt(dh)
-    a = g.adjacency().tolil()
-    a.setdiag(1.0)
-    a = a.tocsr()
-    scale = sp.dia_array((inv_sqrt[None, :], [0]), shape=(g.n, g.n)).tocsr()
-    return scale @ a @ scale
+    # A + I in CSR: each row's diagonal entry goes in among its sorted
+    # neighbors, so every entry right of the diagonal moves one slot on
+    n = g.n
+    counts = np.diff(g.indptr)
+    rows = np.repeat(np.arange(n), counts)
+    right = g.indices > rows
+    pos = np.arange(len(rows)) + rows + right
+    diag = g.indptr[:-1] + np.arange(n) + np.bincount(rows[~right], minlength=n)
+    cols = np.empty(len(rows) + n, dtype=np.int64)
+    vals = np.empty(len(rows) + n, dtype=np.float64)
+    cols[pos], vals[pos] = g.indices, g.weights
+    cols[diag], vals[diag] = np.arange(n), 1.0
+    # scale @ (A + I) @ scale entry by entry, in the sparse product's
+    # operation order, dropping the zeros it would not store
+    rows = np.repeat(np.arange(n), counts + 1)
+    data = inv_sqrt[rows] * vals * inv_sqrt[cols]
+    keep = data != 0.0
+    # 32-bit indices whenever they fit, as the sparse product chooses
+    idx = np.int32 if len(cols) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+    return sp.csr_array((data[keep], cols[keep].astype(idx), indptr), shape=(n, n))

@@ -85,7 +85,7 @@ def known_graph(sample: ObservedSample, full_n: int | None = None) -> Graph:
         )
     og = sample.observed_graph
     kept = sample.kept_nodes
-    return Graph(n, zip(kept[og.edge_u], kept[og.edge_v], og.edge_w))
+    return Graph.from_arrays(n, kept[og.edge_u], kept[og.edge_v], og.edge_w)
 
 
 def _encode(params: PredictorParams, known: ObservedSample) -> np.ndarray:
@@ -132,9 +132,13 @@ def train_predictor(
     pos_u = kept[og.edge_u]
     pos_v = kept[og.edge_v]
     k = og.n
-    # canonical keys of observed edges, in observed index space
+    # canonical keys of observed edges, in observed index space (ascending)
     edge_keys = og.edge_u * k + og.edge_v
     n_free_pairs = k * (k - 1) // 2 - og.m
+    if n_free_pairs > 0:
+        y = np.concatenate([np.ones(og.m), np.zeros(og.m)])
+    else:
+        y = np.ones(og.m)
 
     unobs = np.setdiff1d(np.arange(full_n), kept)
 
@@ -143,9 +147,8 @@ def train_predictor(
             neg_u, neg_v = _sample_non_edges(rng, k, og.m, edge_keys)
             u = np.concatenate([pos_u, kept[neg_u]])
             v = np.concatenate([pos_v, kept[neg_v]])
-            y = np.concatenate([np.ones(og.m), np.zeros(og.m)])
         else:
-            u, v, y = pos_u, pos_v, np.ones(og.m)
+            u, v = pos_u, pos_v
 
         m_in = a_known @ params.embed
         z = m_in @ params.w
@@ -154,9 +157,11 @@ def train_predictor(
 
         def grads():
             ds = (s - y) / len(y)
-            dz = np.zeros_like(z)
-            np.add.at(dz, u, ds[:, None] * z[v])
-            np.add.at(dz, v, ds[:, None] * z[u])
+            dz = _scatter_rows(
+                np.concatenate([u, v]),
+                np.concatenate([ds[:, None] * z[v], ds[:, None] * z[u]]),
+                full_n,
+            )
             dw = m_in.T @ dz
             dm = dz @ params.w.T
             dembed = a_known @ dm
@@ -169,8 +174,26 @@ def train_predictor(
     return params
 
 
+def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """out[index[i]] += rows[i] for each i in order, from zeros: the sums of
+    ``np.add.at(out, index, rows)``, bit for bit, one bincount per column."""
+    out = np.empty((n, rows.shape[1]))
+    for c, col in enumerate(rows.T):
+        out[:, c] = np.bincount(index, weights=col, minlength=n)
+    return out
+
+
+def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which of ``keys`` occur in the ascending array ``sorted_keys``."""
+    if len(sorted_keys) == 0:
+        return np.zeros(keys.shape, dtype=bool)
+    pos = np.searchsorted(sorted_keys, keys)
+    return sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
+
+
 def _sample_non_edges(rng, k: int, count: int, edge_keys: np.ndarray):
-    """Uniform observed-index pairs (u < v) that are not observed edges."""
+    """Uniform observed-index pairs (u < v) that are not observed edges;
+    ``edge_keys`` (u * k + v of the observed edges) must be ascending."""
     out_u = np.empty(count, dtype=np.int64)
     out_v = np.empty(count, dtype=np.int64)
     got = 0
@@ -178,7 +201,7 @@ def _sample_non_edges(rng, k: int, count: int, edge_keys: np.ndarray):
         cand = rng.integers(0, k, size=(2, count - got))
         u = np.minimum(cand[0], cand[1])
         v = np.maximum(cand[0], cand[1])
-        ok = (u != v) & ~np.isin(u * k + v, edge_keys)
+        ok = (u != v) & ~_in_sorted(edge_keys, u * k + v)
         take = int(np.sum(ok))
         out_u[got : got + take] = u[ok]
         out_v[got : got + take] = v[ok]
@@ -210,7 +233,7 @@ def threshold_adjacency(soft: SoftAdjacency, tau: float) -> Graph:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
     iu, iv = np.triu_indices(soft.n, k=1)
     keep = soft.probs[iu, iv] >= tau
-    return Graph(soft.n, zip(iu[keep], iv[keep]))
+    return Graph.from_arrays(soft.n, iu[keep], iv[keep])
 
 
 def pair_scores(
@@ -236,10 +259,8 @@ def reconstruction_bce(params: PredictorParams, known: ObservedSample) -> float:
         return 0.0
     s = pair_scores(params, known, np.column_stack([kept[iu], kept[iv]]))
     s = np.clip(s, _S_EPS, 1.0 - _S_EPS)
-    adj = np.zeros((len(kept), len(kept)))
-    adj[og.edge_u, og.edge_v] = 1.0
-    adj[og.edge_v, og.edge_u] = 1.0
-    y = adj[iu, iv]
+    k = len(kept)
+    y = _in_sorted(og.edge_u * k + og.edge_v, iu * k + iv).astype(np.float64)
     return float(-np.mean(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)))
 
 

@@ -138,7 +138,7 @@ def soft_adjacency_graph(soft: SoftAdjacency) -> Graph:
     iu, iv = np.triu_indices(soft.n, k=1)
     w = soft.probs[iu, iv]
     keep = w >= _SOFT_EDGE_CUTOFF
-    return Graph(soft.n, zip(iu[keep], iv[keep], w[keep]))
+    return Graph.from_arrays(soft.n, iu[keep], iv[keep], w[keep])
 
 
 def combined_loss(

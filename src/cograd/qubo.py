@@ -11,6 +11,7 @@ binary values.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -56,7 +57,8 @@ class QuboMatrix:
     coefficient Q_ij; the monomial x_i * x_j therefore enters H with
     coefficient 2 * Q_ij for i < j and the diagonal enters linearly.
     ``penalty`` records the constraint coefficient used at build time
-    (0 for MaxCut).
+    (0 for MaxCut). The form is stored as arrays: the diagonal and the
+    full symmetric off-diagonal part in CSR.
     """
 
     def __init__(
@@ -66,41 +68,75 @@ class QuboMatrix:
         offset: float = 0.0,
         penalty: float = 0.0,
     ):
-        self.n = n
-        self.offset = float(offset)
-        self.penalty = float(penalty)
-        self.entries: dict[tuple[int, int], float] = {}
-        diag = np.zeros(n, dtype=np.float64)
-        rows, cols, vals = [], [], []
+        acc: dict[tuple[int, int], float] = {}
         for (i, j), c in entries.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"entry ({i},{j}) out of range for n={n}")
             if i > j:
                 i, j = j, i
             key = (i, j)
-            self.entries[key] = self.entries.get(key, 0.0) + float(c)
-        for (i, j), c in self.entries.items():
-            if i == j:
-                diag[i] = c
-            else:
-                rows.append(i)
-                cols.append(j)
-                vals.append(c)
-        self._diag = diag
-        self._rows = np.asarray(rows, dtype=np.int64)
-        self._cols = np.asarray(cols, dtype=np.int64)
-        self._vals = np.asarray(vals, dtype=np.float64)
-        # Full symmetric off-diagonal matrix, used by value and gradient.
-        self._offdiag = sp.csr_array(
+            acc[key] = acc.get(key, 0.0) + float(c)
+        diag_nodes = np.asarray([i for i, j in acc if i == j], dtype=np.int64)
+        diag = np.zeros(n, dtype=np.float64)
+        diag[diag_nodes] = [acc[(i, i)] for i in diag_nodes.tolist()]
+        upper = [(i, j, c) for (i, j), c in acc.items() if i != j]
+        rows = np.asarray([i for i, _, _ in upper], dtype=np.int64)
+        cols = np.asarray([j for _, j, _ in upper], dtype=np.int64)
+        vals = np.asarray([c for _, _, c in upper], dtype=np.float64)
+        offdiag = sp.csr_array(
             (
-                np.concatenate([self._vals, self._vals]),
-                (
-                    np.concatenate([self._rows, self._cols]),
-                    np.concatenate([self._cols, self._rows]),
-                ),
+                np.concatenate([vals, vals]),
+                (np.concatenate([rows, cols]), np.concatenate([cols, rows])),
             ),
             shape=(n, n),
         )
+        self._build(n, diag, diag_nodes, offdiag, offset, penalty)
+
+    @classmethod
+    def _from_arrays(
+        cls,
+        n: int,
+        diag: np.ndarray,
+        diag_nodes: np.ndarray,
+        offdiag: sp.csr_array,
+        offset: float,
+        penalty: float,
+    ) -> QuboMatrix:
+        """The form with diagonal ``diag`` (stored entries at ``diag_nodes``)
+        and the symmetric off-diagonal part ``offdiag``, explicit zeros kept."""
+        q = cls.__new__(cls)
+        q._build(n, diag, diag_nodes, offdiag, offset, penalty)
+        return q
+
+    def _build(self, n, diag, diag_nodes, offdiag, offset, penalty) -> None:
+        self.n = n
+        self.offset = float(offset)
+        self.penalty = float(penalty)
+        self._diag = diag
+        self._diag_nodes = diag_nodes
+        # Full symmetric off-diagonal matrix, used by value and gradient.
+        self._offdiag = offdiag
+
+    @cached_property
+    def entries(self) -> dict[tuple[int, int], float]:
+        """Canonical (i <= j) pairs -> Q_ij, explicit zeros included; built
+        from the arrays on first access."""
+        a = self._offdiag
+        rows = np.repeat(np.arange(self.n), np.diff(a.indptr))
+        upper = a.indices > rows
+        out = dict(
+            zip(
+                zip(self._diag_nodes.tolist(), self._diag_nodes.tolist()),
+                self._diag[self._diag_nodes].tolist(),
+            )
+        )
+        out.update(
+            zip(
+                zip(rows[upper].tolist(), a.indices[upper].tolist()),
+                a.data[upper].tolist(),
+            )
+        )
+        return out
 
     def value(self, x: np.ndarray) -> float:
         """H(x) for binary or relaxed x (diagonal applied linearly)."""
@@ -117,7 +153,8 @@ class QuboMatrix:
         return 2.0 * (self._offdiag @ x) + self._diag
 
     def __repr__(self) -> str:
-        return f"QuboMatrix(n={self.n}, nnz={len(self.entries)}, offset={self.offset:g})"
+        nnz = len(self._diag_nodes) + self._offdiag.nnz // 2
+        return f"QuboMatrix(n={self.n}, nnz={nnz}, offset={self.offset:g})"
 
 
 def build_qubo(kind: ProblemKind, g: Graph, penalty: float = 2.0) -> QuboMatrix:
@@ -134,37 +171,44 @@ def build_qubo(kind: ProblemKind, g: Graph, penalty: float = 2.0) -> QuboMatrix:
     matrix purely linear/quadratic while H(x) stays exact. For MIS/MVC any
     penalty P > 1 makes constraint violations strictly unprofitable at unit
     weights; P <= 1 is rejected.
+
+    Built from the edge arrays. Every sum runs in the order of a loop over
+    the canonical edges (node terms first), so the result is the same, bit
+    for bit, as adding the terms one by one into a dict from 0.0.
     """
     kind = ProblemKind(kind)
-    entries: dict[tuple[int, int], float] = {}
+    n, u, v, w = g.n, g.edge_u, g.edge_v, g.edge_w
+    # the diagonal terms of edge k go to u_k, then v_k
+    ends = np.column_stack([u, v]).ravel()
     offset = 0.0
-
-    def add(i: int, j: int, c: float) -> None:
-        key = (i, j) if i <= j else (j, i)
-        entries[key] = entries.get(key, 0.0) + c
-
     if kind is ProblemKind.MAXCUT:
         penalty = 0.0
-        for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w):
-            add(int(u), int(v), w)
-            add(int(u), int(u), -w)
-            add(int(v), int(v), -w)
+        # a sum from 0.0 stores 0.0 + c, which turns -0.0 into 0.0
+        coeff = 0.0 + g.weights
+        diag_nodes = np.flatnonzero(np.bincount(ends, minlength=n))
+        diag = np.bincount(ends, weights=np.repeat(-w, 2), minlength=n)
     else:
         if penalty <= 1.0:
             raise ValueError(f"penalty must exceed 1 for {kind.value}, got {penalty}")
         sign = -1.0 if kind is ProblemKind.MIS else 1.0
-        for i in range(g.n):
-            add(i, i, sign)
-        for u, v, w in zip(g.edge_u, g.edge_v, g.edge_w):
+        coeff = 0.0 + penalty * g.weights / 2.0
+        diag_nodes = np.arange(n)
+        if kind is ProblemKind.MVC:
             pw = penalty * w
-            add(int(u), int(v), pw / 2.0)
-            if kind is ProblemKind.MVC:
-                add(int(u), int(u), -pw)
-                add(int(v), int(v), -pw)
-                offset += pw
-
-    q = QuboMatrix(g.n, entries, offset=offset, penalty=penalty)
-    return q
+            diag = np.bincount(
+                np.concatenate([diag_nodes, ends]),
+                weights=np.concatenate([np.full(n, sign), np.repeat(-pw, 2)]),
+                minlength=n,
+            )
+            # left to right from 0.0, not pairwise as np.sum would
+            offset = float(np.cumsum(np.concatenate([[0.0], pw]))[-1])
+        else:
+            diag = np.full(n, sign)
+    # the graph's CSR already holds both directions of every edge
+    offdiag = sp.csr_array((coeff, g.indices, g.indptr), shape=(n, n))
+    # bincount over no terms counts in integers, hence the cast
+    diag = diag.astype(np.float64, copy=False)
+    return QuboMatrix._from_arrays(n, diag, diag_nodes, offdiag, offset, penalty)
 
 
 def eval_hamiltonian(q: QuboMatrix, x: Iterable[float]) -> float:

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import gzip
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import cograd
 
 from cograd.bench import InstanceSpec, SuiteSpec, run_suite
 from cograd.cli import main
@@ -136,6 +143,48 @@ def test_solve_directory_input_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(tmp_path) in err
     assert len(err.strip().splitlines()) == 1
+
+
+def _solve_damaged_gzip(tmp_path, ring6, capsys, damage):
+    packed = bytearray(gzip.compress(open(ring6, "rb").read()))
+    damage(packed)
+    path = tmp_path / "ring6.txt.gz"
+    path.write_bytes(bytes(packed))
+    assert main(["solve", "--problem", "mis", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot read instance file") and str(path) in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_truncated_gzip_input_is_data_error(tmp_path, ring6, capsys):
+    def cut(packed):
+        del packed[len(packed) // 2:]
+
+    _solve_damaged_gzip(tmp_path, ring6, capsys, cut)
+
+
+def test_corrupt_gzip_input_is_data_error(tmp_path, ring6, capsys):
+    def flip(packed):
+        packed[20:30] = bytes(b ^ 0xFF for b in packed[20:30])
+
+    _solve_damaged_gzip(tmp_path, ring6, capsys, flip)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # the source tree this test imported cograd from, not an installed copy
+    src = Path(cograd.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = tmp_path / "g.txt"
+    done = subprocess.run(
+        [sys.executable, "-m", "cograd", "gen", "--n", "6", "--d", "3",
+         "--seed", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert parse_gset(out.read_text()).n == 6
+    bad = subprocess.run([sys.executable, "-m", "cograd"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert bad.returncode == 1
 
 
 @pytest.mark.parametrize("command", ["solve", "dfl", "oracle"])

@@ -4,6 +4,7 @@ import gzip
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cograd.graph import (
     Graph,
@@ -200,3 +201,119 @@ def test_renormalized_adjacency_rejects_nonpositive_rowsum():
     g = Graph(2, [(0, 1, -3.0)])
     with pytest.raises(ValueError, match="positive"):
         renormalized_adjacency(g)
+
+
+def _graph_arrays(g):
+    return (g.edge_u, g.edge_v, g.edge_w, g.indptr, g.indices, g.weights, g.degree)
+
+
+def _builder_cases():
+    rng = np.random.default_rng(5)
+    cases = [(0, []), (1, []), (2, []), (2, [(1, 0, -0.5)]), (5, [(3, 4, 2.0)])]
+    for n, p in [(9, 0.4), (40, 0.15)]:
+        iu, iv = np.triu_indices(n, k=1)
+        keep = rng.random(len(iu)) < p
+        u, v = iu[keep], iv[keep]
+        flip = rng.random(len(u)) < 0.5
+        u, v = np.where(flip, v, u), np.where(flip, u, v)
+        w = rng.normal(0.0, 2.0, len(u)).round(3)
+        w[:3] = [0.0, -1.0, 0.125]
+        order = rng.permutation(len(u))
+        cases.append((n + 2, list(zip(u[order], v[order], w[order]))))
+    return cases
+
+
+def _reference_graph_arrays(n, edges):
+    """The canonical edge arrays, CSR and degree of Graph(n, edges) from
+    plain per-edge loops: sorted (u, v) pairs, each row's (neighbor,
+    weight) pairs sorted, and the degree summed along the row from 0.0."""
+    canon = sorted((min(int(u), int(v)), max(int(u), int(v)), float(w))
+                   for u, v, w in edges)
+    rows = [[] for _ in range(n)]
+    for u, v, w in canon:
+        rows[u].append((v, w))
+        rows[v].append((u, w))
+    degree = np.zeros(n)
+    for i, row in enumerate(rows):
+        row.sort()
+        for _, w in row:
+            degree[i] += w
+    return (
+        np.array([u for u, _, _ in canon], dtype=np.int64),
+        np.array([v for _, v, _ in canon], dtype=np.int64),
+        np.array([w for _, _, w in canon], dtype=np.float64),
+        np.cumsum([0] + [len(row) for row in rows]).astype(np.int64),
+        np.array([c for row in rows for c, _ in row], dtype=np.int64),
+        np.array([w for row in rows for _, w in row], dtype=np.float64),
+        degree,
+    )
+
+
+@pytest.mark.parametrize("n, edges", _builder_cases())
+def test_from_arrays_bit_identical_to_constructor(n, edges):
+    want = _reference_graph_arrays(n, edges)
+    u = [e[0] for e in edges]
+    v = [e[1] for e in edges]
+    w = [e[2] for e in edges]
+    for got in (Graph(n, edges), Graph.from_arrays(n, u, v, w),
+                Graph.from_arrays(n, np.array(u, dtype=np.int64),
+                                  np.array(v, dtype=np.int64), np.array(w))):
+        assert got.n == n and got == Graph(n, edges)
+        for a, b in zip(_graph_arrays(got), want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    unit = Graph.from_arrays(n, u, v)
+    assert unit == Graph(n, zip(u, v)) and np.all(unit.edge_w == 1.0)
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (3, [(0, 1), (0, 3), (1, 1)]),
+        (3, [(0, 1), (2, 2), (5, 0)]),
+        (3, [(0, 1), (-1, 2)]),
+        (4, [(0, 1), (2, 3), (1, 0)]),
+        (4, [(3, 2), (0, 1), (1, 2), (2, 3)]),
+        (-1, []),
+    ],
+)
+def test_from_arrays_raises_constructor_errors(n, edges):
+    with pytest.raises(ValueError) as want:
+        Graph(n, edges)
+    u = np.array([e[0] for e in edges], dtype=np.int64)
+    v = np.array([e[1] for e in edges], dtype=np.int64)
+    with pytest.raises(ValueError) as got:
+        Graph.from_arrays(n, u, v)
+    assert str(got.value) == str(want.value)
+
+
+def test_from_arrays_rejects_ragged_arrays():
+    with pytest.raises(ValueError, match="equal length"):
+        Graph.from_arrays(3, [0, 1], [1, 2], [1.0])
+
+
+def _reference_renormalized(g):
+    """scale @ (A + I) @ scale with scipy's sparse products."""
+    inv_sqrt = 1.0 / np.sqrt(g.degree + 1.0)
+    a = g.adjacency().tolil()
+    a.setdiag(1.0)
+    a = a.tocsr()
+    scale = sp.dia_array((inv_sqrt[None, :], [0]), shape=(g.n, g.n)).tocsr()
+    return scale @ a @ scale
+
+
+@pytest.mark.parametrize("n, edges", _builder_cases()[1:])
+def test_renormalized_adjacency_bit_identical_to_sparse_products(n, edges):
+    # the sparse product drops the zeros that zero-weight edges leave
+    g = Graph(n, [(u, v, abs(w)) for u, v, w in edges])
+    got, want = renormalized_adjacency(g), _reference_renormalized(g)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.all(got.data != 0.0)
+
+
+def test_renormalized_adjacency_bit_identical_on_regular_graph():
+    g = generate_d_regular(600, 5, seed=3)
+    got, want = renormalized_adjacency(g), _reference_renormalized(g)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))

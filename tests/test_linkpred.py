@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from cograd.gnn import TrainConfig, TrainingDivergedError
+from cograd.gnn import TrainConfig, TrainingDivergedError, default_dims
 from cograd.graph import (
     Graph,
     ObservedSample,
     generate_erdos_renyi,
+    renormalized_adjacency,
     sample_observed_subgraph,
 )
 from cograd.linkpred import (
@@ -179,3 +181,94 @@ def test_export_soft_adjacency_csv():
 def test_predictor_params_full_n():
     p = PredictorParams(embed=np.zeros((7, 3)), w=np.zeros((3, 2)))
     assert p.full_n == 7
+
+
+def _reference_train_predictor(sample, full_n, cfg):
+    """train_predictor as a plain out-of-place loop over public calls:
+    np.add.at scatters, np.isin for the negative draws, textbook Adam and
+    the best-loss patience window."""
+    og, kept = sample.observed_graph, sample.kept_nodes
+    a_known = renormalized_adjacency(known_graph(sample, full_n))
+    d_in, d_z = default_dims(full_n)
+    rng = np.random.default_rng(cfg.seed)
+    params = [rng.normal(0.0, 1.0 / np.sqrt(d_in), (full_n, d_in)),
+              rng.normal(0.0, 1.0 / np.sqrt(d_in), (d_in, d_z))]
+    k = og.n
+    edge_keys = og.edge_u * k + og.edge_v
+    free = k * (k - 1) // 2 - og.m > 0
+    unobs = np.setdiff1d(np.arange(full_n), kept)
+    m = [np.zeros_like(x) for x in params]
+    v2 = [np.zeros_like(x) for x in params]
+    best, trace = np.inf, []
+    for epoch in range(1, cfg.max_epochs + 1):
+        embed, w = params
+        u, v = kept[og.edge_u], kept[og.edge_v]
+        y = np.ones(og.m)
+        if free:
+            neg_u, neg_v = [], []
+            while len(neg_u) < og.m:
+                cand = rng.integers(0, k, size=(2, og.m - len(neg_u)))
+                a, b = np.minimum(cand[0], cand[1]), np.maximum(cand[0], cand[1])
+                ok = (a != b) & ~np.isin(a * k + b, edge_keys)
+                neg_u += list(a[ok])
+                neg_v += list(b[ok])
+            u = np.concatenate([u, kept[np.array(neg_u, dtype=np.int64)]])
+            v = np.concatenate([v, kept[np.array(neg_v, dtype=np.int64)]])
+            y = np.concatenate([y, np.zeros(og.m)])
+        m_in = a_known @ embed
+        z = m_in @ w
+        s = np.clip(expit(np.sum(z[u] * z[v], axis=1)), 1e-12, 1.0 - 1e-12)
+        loss = float(-np.mean(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)))
+        best = min(best, loss)
+        trace.append(best)
+        if epoch > cfg.patience and trace[epoch - 1 - cfg.patience] - best < cfg.tolerance:
+            break
+        ds = (s - y) / len(y)
+        dz = np.zeros_like(z)
+        np.add.at(dz, u, ds[:, None] * z[v])
+        np.add.at(dz, v, ds[:, None] * z[u])
+        dembed = a_known @ (dz @ w.T)
+        dembed[unobs] += 1e-4 * embed[unobs]
+        grads = [dembed, m_in.T @ dz]
+        c1, c2 = 1.0 - 0.9**epoch, 1.0 - 0.999**epoch
+        for i, (x, g) in enumerate(zip(params, grads)):
+            m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+            v2[i] = 0.999 * v2[i] + (1.0 - 0.999) * g * g
+            x -= cfg.learning_rate * (m[i] / c1) / (np.sqrt(v2[i] / c2) + 1e-8)
+    return params
+
+
+@pytest.mark.parametrize("case", ["partial", "complete", "padded"])
+def test_train_predictor_bit_identical_to_reference_loop(case):
+    if case == "partial":
+        g, s = _sample(n=40, p=0.2, frac=0.7)
+        full_n = g.n
+    elif case == "complete":
+        # every observed pair is an edge: no negatives to draw
+        g = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+        s = sample_observed_subgraph(g, 0.8, seed=0)
+        full_n = g.n
+    else:
+        g, s = _sample()
+        full_n = g.n + 6
+    cfg = TrainConfig(seed=2, max_epochs=300, patience=60, tolerance=1e-3)
+    got = train_predictor(s, full_n, cfg)
+    embed, w = _reference_train_predictor(s, full_n, cfg)
+    assert np.array_equal(got.embed, embed)
+    assert np.array_equal(got.w, w)
+
+
+def test_reconstruction_bce_equals_dense_label_formula():
+    for frac, seed in [(0.7, 1), (1.0, 2), (0.3, 3)]:
+        g, s = _sample(n=30, frac=frac, sseed=seed)
+        params = train_predictor(s, 30, TrainConfig(seed=seed, max_epochs=50))
+        kept, og = s.kept_nodes, s.observed_graph
+        iu, iv = np.triu_indices(len(kept), k=1)
+        sc = pair_scores(params, s, np.column_stack([kept[iu], kept[iv]]))
+        sc = np.clip(sc, 1e-12, 1.0 - 1e-12)
+        adj = np.zeros((len(kept), len(kept)))
+        adj[og.edge_u, og.edge_v] = 1.0
+        adj[og.edge_v, og.edge_u] = 1.0
+        y = adj[iu, iv]
+        want = float(-np.mean(y * np.log(sc) + (1.0 - y) * np.log(1.0 - sc)))
+        assert reconstruction_bce(params, s) == want

@@ -192,3 +192,72 @@ def test_export_coordinate_text():
     assert lines[0] == "3 4"
     assert "0 1 1" in lines and "1 2 1" in lines
     assert "0 0 -1" in lines and "1 1 -3" in lines and "2 2 -1" in lines
+
+
+def _reference_qubo(kind, g, penalty=2.0):
+    """build_qubo as a per-edge loop into a dict, through the public dict
+    constructor."""
+    entries, offset = {}, 0.0
+
+    def add(i, j, c):
+        key = (i, j) if i <= j else (j, i)
+        entries[key] = entries.get(key, 0.0) + c
+
+    edges = list(zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_w))
+    if kind is ProblemKind.MAXCUT:
+        penalty = 0.0
+        for u, v, w in edges:
+            add(u, v, w)
+            add(u, u, -w)
+            add(v, v, -w)
+    else:
+        sign = -1.0 if kind is ProblemKind.MIS else 1.0
+        for i in range(g.n):
+            add(i, i, sign)
+        for u, v, w in edges:
+            pw = penalty * w
+            add(u, v, pw / 2.0)
+            if kind is ProblemKind.MVC:
+                add(u, u, -pw)
+                add(v, v, -pw)
+                offset += pw
+    return QuboMatrix(g.n, entries, offset=offset, penalty=penalty)
+
+
+def _qubo_graphs():
+    rng = np.random.default_rng(8)
+    signed = generate_erdos_renyi(30, 0.25, seed=4)
+    w = rng.normal(0.0, 1.5, signed.m)
+    w[:4] = [0.0, -0.0, 1e-3, -7.25]
+    return [
+        Graph(0),
+        Graph(1),
+        Graph(2),
+        Graph(2, [(0, 1, 0.3)]),
+        Graph(6, [(0, 1), (1, 2), (4, 5, -1.0)]),
+        Graph(signed.n + 3, zip(signed.edge_u, signed.edge_v, w)),
+        generate_erdos_renyi(60, 0.5, seed=9),
+    ]
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+@pytest.mark.parametrize("g", _qubo_graphs(), ids=repr)
+def test_build_qubo_bit_identical_to_per_edge_loop(kind, g):
+    for penalty in (2.0, 3.7):
+        got, want = build_qubo(kind, g, penalty), _reference_qubo(kind, g, penalty)
+        assert got.entries == want.entries
+        assert got.offset == want.offset and got.penalty == want.penalty
+        assert repr(got) == repr(want)
+        rng = np.random.default_rng(g.n)
+        for x in (rng.random(g.n), rng.integers(0, 2, g.n), np.ones(g.n)):
+            assert got.value(x) == want.value(x)
+            assert np.array_equal(got.gradient(x), want.gradient(x))
+
+
+def test_entries_keep_explicit_zeros():
+    g = Graph(4, [(0, 1, 0.0), (2, 3, 1.0), (1, 2, -1.0)])
+    q = build_qubo(ProblemKind.MAXCUT, g)
+    assert q.entries == {(0, 1): 0.0, (0, 0): 0.0, (1, 1): 1.0, (2, 3): 1.0,
+                         (2, 2): 0.0, (3, 3): -1.0, (1, 2): -1.0}
+    assert build_qubo(ProblemKind.MAXCUT, Graph(3, [(0, 1)])).entries == {
+        (0, 1): 1.0, (0, 0): -1.0, (1, 1): -1.0}

@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 class GsetFormatError(ValueError):
     """Raised for malformed Gset-format input; the message names the line."""
 
@@ -67,8 +70,7 @@ class Graph:
             us.append(int(u))
             vs.append(int(v))
             ws.append(float(w))
-        self._build(n, np.asarray(us, dtype=np.int64),
-                    np.asarray(vs, dtype=np.int64), np.asarray(ws, dtype=np.float64))
+        self._build(n, *_endpoint_arrays(n, us, vs), np.asarray(ws, dtype=np.float64))
 
     @classmethod
     def from_arrays(
@@ -84,8 +86,7 @@ class Graph:
         errors (for the first offending edge in input order), without a
         Python-level loop over the edges.
         """
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
+        u, v = _endpoint_arrays(n, u, v)
         w = np.ones(len(u)) if w is None else np.asarray(w, dtype=np.float64)
         if not u.ndim == v.ndim == w.ndim == 1 or not len(u) == len(v) == len(w):
             raise ValueError(
@@ -97,15 +98,7 @@ class Graph:
         return g
 
     def _build(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
-        if n < 0:
-            raise ValueError("node count must be nonnegative")
-        out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-        bad = out_of_range | (u == v)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            if out_of_range[i]:
-                raise ValueError(f"edge ({u[i]},{v[i]}) out of range for n={n}")
-            raise ValueError(f"self-loop at node {u[i]}")
+        _check_endpoints(n, u, v)
 
         # canonical u < v, sorted lexicographically: the key is monotone in
         # (u, v) and the sort is stable, as lexsort((v, u)) would be
@@ -209,6 +202,37 @@ class ObservedSample:
     def node_map(self) -> np.ndarray:
         """Observed index -> original index (alias for ``kept_nodes``)."""
         return self.kept_nodes
+
+
+def _check_endpoints(n: int, u: np.ndarray, v: np.ndarray) -> None:
+    """Raise for a negative n, or for the first edge, in input order, that
+    is out of range or a self-loop."""
+    if n < 0:
+        raise ValueError("node count must be nonnegative")
+    out_of_range = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    bad = out_of_range | (u == v)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if out_of_range[i]:
+            raise ValueError(f"edge ({u[i]},{v[i]}) out of range for n={n}")
+        raise ValueError(f"self-loop at node {u[i]}")
+
+
+def _endpoint_arrays(n: int, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """``u`` and ``v`` as int64 arrays. An index that int64 cannot hold is
+    out of range for every n, so it raises that error, unless an earlier
+    edge is out of range or a self-loop."""
+    try:
+        return np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    except OverflowError:
+        u, v = list(u), list(v)
+        big = [i for i, e in enumerate(zip(u, v))
+               if not all(_INT64.min <= x <= _INT64.max for x in e)]
+        if not big:
+            raise
+    i = big[0]
+    _check_endpoints(n, np.asarray(u[:i], dtype=np.int64), np.asarray(v[:i], dtype=np.int64))
+    raise ValueError(f"edge ({u[i]},{v[i]}) out of range for n={n}")
 
 
 def _format_weight(w: float) -> str:

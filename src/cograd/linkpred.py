@@ -1,17 +1,24 @@
 """Edge prediction from a partially observed graph.
 
 A one-layer graph convolution encodes every node into a low-dimensional
-embedding; an inner-product decoder scores each pair. Only pairs between
+embedding; an inner-product decoder scores pairs. Only pairs between
 observed nodes carry training signal (observed edges as positives, sampled
 observed non-edges as negatives); embeddings of unobserved nodes are free
-parameters held near zero by weight decay. Predicted probabilities for
-observed pairs are overridden with the ground truth afterwards, since
-observed evidence is certain.
+parameters held near zero by weight decay.
+
+The prediction is sparse. Observed pairs keep their ground truth, since
+observed evidence is certain, and each unobserved node keeps only its
+highest-scoring partners, as many as the observed mean degree: about as
+many predicted edges as true ones, never an n x n matrix. Scores are
+computed in row blocks of bounded size, for the prediction and for the
+reconstruction loss alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -33,6 +40,8 @@ __all__ = [
 
 _WEIGHT_DECAY = 1e-4
 _S_EPS = 1e-12
+# entries of the score or pair arrays built at once, per block of rows
+_BLOCK = 1 << 14
 
 
 @dataclass
@@ -53,14 +62,18 @@ class PredictorParams:
         return self.embed.shape[0]
 
 
-@dataclass(frozen=True)
 class SoftAdjacency:
-    """Symmetric matrix of edge probabilities with a zero diagonal."""
+    """Symmetric edge probabilities with a zero diagonal, stored as pairs.
 
-    probs: np.ndarray
+    ``u``, ``v`` and ``w`` list the pairs with a nonzero probability as
+    coordinates (u < v, sorted by (u, v)); every other pair has probability
+    0. ``SoftAdjacency(probs)`` takes a dense symmetric matrix and keeps its
+    upper triangle; :meth:`from_pairs` takes the coordinates. ``probs`` is
+    the dense n x n view, built on first access.
+    """
 
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
+    def __init__(self, probs: np.ndarray):
+        p = np.asarray(probs, dtype=np.float64)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError(f"probs must be square, got shape {p.shape}")
         if not np.allclose(p, p.T):
@@ -69,11 +82,47 @@ class SoftAdjacency:
             raise ValueError("diagonal must be zero")
         if np.any(p < 0.0) or np.any(p > 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
-        object.__setattr__(self, "probs", p)
+        iu, iv = np.nonzero(np.triu(p, k=1))
+        self._set(p.shape[0], iu, iv, p[iu, iv])
 
-    @property
-    def n(self) -> int:
-        return self.probs.shape[0]
+    @classmethod
+    def from_pairs(
+        cls,
+        n: int,
+        u: Sequence[int] | np.ndarray,
+        v: Sequence[int] | np.ndarray,
+        w: Sequence[float] | np.ndarray,
+    ) -> SoftAdjacency:
+        """Probability w[i] on pair (u[i], v[i]), 0 on every other pair.
+
+        Pairs may come in any order and orientation. Raises ValueError for
+        a pair out of range, a self-loop, a repeated pair or a probability
+        outside [0, 1], as :meth:`Graph.from_arrays` does for edges.
+        """
+        g = Graph.from_arrays(n, u, v, w)
+        if not np.all((g.edge_w >= 0.0) & (g.edge_w <= 1.0)):
+            raise ValueError("probabilities must lie in [0, 1]")
+        soft = cls.__new__(cls)
+        soft._set(n, g.edge_u, g.edge_v, g.edge_w)
+        return soft
+
+    def _set(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+        nonzero = w != 0.0
+        self.n = n
+        self.u = u[nonzero]
+        self.v = v[nonzero]
+        self.w = w[nonzero]
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """Dense symmetric n x n matrix of the probabilities."""
+        p = np.zeros((self.n, self.n))
+        p[self.u, self.v] = self.w
+        p[self.v, self.u] = self.w
+        return p
+
+    def __repr__(self) -> str:
+        return f"SoftAdjacency(n={self.n}, pairs={len(self.w)})"
 
 
 def known_graph(sample: ObservedSample, full_n: int | None = None) -> Graph:
@@ -209,31 +258,94 @@ def _sample_non_edges(rng, k: int, count: int, edge_keys: np.ndarray):
     return out_u, out_v
 
 
+def _partner_budget(m_obs: int, k_obs: int, n: int) -> int:
+    """Partners kept per unobserved node: the observed mean degree
+    corrected for node sampling, round(2 * m_obs * n / k_obs**2), at least
+    1 and at most n - 1.
+
+    A node-induced sample of k_obs of n nodes keeps about (k_obs / n)**2 of
+    the edges, so m_obs * (n / k_obs)**2 estimates the true edge count and
+    twice that over n its mean degree.
+    """
+    k = max(1, round(2 * m_obs * n / max(k_obs, 1) ** 2))
+    return min(k, n - 1)
+
+
+def _decode(z: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sigma(z[u[i]] . z[v[i]]) for each i."""
+    return expit(np.sum(z[u] * z[v], axis=1))
+
+
+def _row_blocks(rows: np.ndarray, width: int):
+    """Consecutive slices of ``rows`` whose (rows x width) arrays hold at
+    most _BLOCK entries (one row at least)."""
+    step = max(1, _BLOCK // max(width, 1))
+    for r0 in range(0, len(rows), step):
+        yield rows[r0 : r0 + step]
+
+
+def _top_partners(z: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """Canonical keys u * n + v (u < v, ascending, unique) of the pairs that
+    join each of ``rows`` to its k highest-scoring other nodes; among equal
+    scores the smaller index wins."""
+    n = z.shape[0]
+    keys = [np.zeros(0, dtype=np.int64)]
+    if k == 0:  # a lone node has no partner
+        return keys[0]
+    for block in _row_blocks(rows, n):
+        scores = z[block] @ z.T
+        scores[np.arange(len(block)), block] = -np.inf
+        # every score above the k-th largest, then as many of the scores
+        # equal to it as are still needed, the smaller indices first
+        kth = np.partition(scores, n - k, axis=1)[:, n - k, None]
+        above = scores > kth
+        ties = scores == kth
+        need = k - np.count_nonzero(above, axis=1)
+        take = above | (ties & (np.cumsum(ties, axis=1) <= need[:, None]))
+        r, theirs = np.nonzero(take)
+        mine = block[r]
+        keys.append(np.minimum(mine, theirs) * n + np.maximum(mine, theirs))
+    return np.unique(np.concatenate(keys))
+
+
 def predict_adjacency(
     params: PredictorParams, known: ObservedSample
 ) -> SoftAdjacency:
-    """Score every pair, then overwrite observed pairs with ground truth."""
-    z = _encode(params, known)
-    probs = expit(z @ z.T)
-    np.fill_diagonal(probs, 0.0)
-    probs = (probs + probs.T) / 2.0
+    """Observed pairs at their ground truth plus each unobserved node's
+    best-scoring partners.
 
+    An observed pair keeps its weight clipped to [0, 1]. Each unobserved
+    node keeps its k highest-scoring partners among all other nodes (ties
+    to the smaller index), k being the observed mean degree corrected for
+    node sampling (:func:`_partner_budget`). Every kept pair (u < v) weighs
+    its decoder probability as :func:`pair_scores` gives it, whichever
+    endpoint chose it. All other pairs have probability 0, so the result
+    has at most m_obs + k * n_unobs pairs. Scores are computed in row blocks
+    of bounded size; no n x n array is built. At full observation the
+    prediction is the observed graph with clipped weights.
+    """
+    n = params.full_n
     kept = known.kept_nodes
     og = known.observed_graph
-    block = np.zeros((len(kept), len(kept)))
-    block[og.edge_u, og.edge_v] = og.edge_w
-    block[og.edge_v, og.edge_u] = og.edge_w
-    probs[np.ix_(kept, kept)] = np.clip(block, 0.0, 1.0)
-    return SoftAdjacency(probs)
+    unobs = np.setdiff1d(np.arange(n), kept)
+    u, v = kept[og.edge_u], kept[og.edge_v]
+    w = np.clip(og.edge_w, 0.0, 1.0)
+    if len(unobs):
+        z = _encode(params, known)
+        keys = _top_partners(z, unobs, _partner_budget(og.m, og.n, n))
+        cu, cv = keys // n, keys % n
+        u = np.concatenate([u, cu])
+        v = np.concatenate([v, cv])
+        w = np.concatenate([w, _decode(z, cu, cv)])
+    return SoftAdjacency.from_pairs(n, u, v, w)
 
 
 def threshold_adjacency(soft: SoftAdjacency, tau: float) -> Graph:
     """Unit-weight graph keeping every pair with probability at least tau."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    iu, iv = np.triu_indices(soft.n, k=1)
-    keep = soft.probs[iu, iv] >= tau
-    return Graph.from_arrays(soft.n, iu[keep], iv[keep])
+    keep = soft.w >= tau
+    return Graph.from_arrays(soft.n, soft.u[keep], soft.v[keep])
 
 
 def pair_scores(
@@ -243,33 +355,45 @@ def pair_scores(
     without the observed-evidence override."""
     z = _encode(params, known)
     pairs = np.asarray(pairs, dtype=np.int64)
-    return expit(np.sum(z[pairs[:, 0]] * z[pairs[:, 1]], axis=1))
+    return _decode(z, pairs[:, 0], pairs[:, 1])
 
 
 def reconstruction_bce(params: PredictorParams, known: ObservedSample) -> float:
     """Mean cross-entropy of raw decoder scores against every observed pair.
 
     Covers all kept-node pairs (edges and non-edges alike) with no override,
-    so a perfectly reconstructing encoder scores near 0. Deterministic.
+    so a perfectly reconstructing encoder scores near 0. The pairs are
+    scored in row blocks of bounded size, in row-major order, and the mean
+    is taken once over all of them. Deterministic.
     """
     kept = known.kept_nodes
     og = known.observed_graph
-    iu, iv = np.triu_indices(len(kept), k=1)
-    if len(iu) == 0:
-        return 0.0
-    s = pair_scores(params, known, np.column_stack([kept[iu], kept[iv]]))
-    s = np.clip(s, _S_EPS, 1.0 - _S_EPS)
     k = len(kept)
-    y = _in_sorted(og.edge_u * k + og.edge_v, iu * k + iv).astype(np.float64)
-    return float(-np.mean(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)))
+    n_pairs = k * (k - 1) // 2
+    if n_pairs == 0:
+        return 0.0
+    z = _encode(params, known)
+    edge_keys = og.edge_u * k + og.edge_v
+    cols = np.arange(k)
+    terms = np.empty(n_pairs)
+    at = 0
+    for block in _row_blocks(cols, k):
+        bi, iv = np.nonzero(block[:, None] < cols)
+        iu = block[bi]
+        s = np.clip(_decode(z, kept[iu], kept[iv]), _S_EPS, 1.0 - _S_EPS)
+        y = _in_sorted(edge_keys, iu * k + iv).astype(np.float64)
+        terms[at : at + len(s)] = y * np.log(s) + (1.0 - y) * np.log(1.0 - s)
+        at += len(s)
+    return float(-np.mean(terms))
 
 
 def export_soft_adjacency(soft: SoftAdjacency, cutoff: float = 1e-3) -> str:
-    """Coordinate-list CSV ``i,j,prob`` of upper-triangle entries >= cutoff."""
+    """Coordinate-list CSV ``i,j,prob`` of the stored pairs (i < j, in (i, j)
+    order) with probability at least ``cutoff``, which must be positive."""
+    if not cutoff > 0.0:
+        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    keep = soft.w >= cutoff
     lines = ["i,j,prob"]
-    iu, iv = np.triu_indices(soft.n, k=1)
-    vals = soft.probs[iu, iv]
-    keep = vals >= cutoff
-    for i, j, p in zip(iu[keep], iv[keep], vals[keep]):
+    for i, j, p in zip(soft.u[keep], soft.v[keep], soft.w[keep]):
         lines.append(f"{int(i)},{int(j)},{float(p)!r}")
     return "\n".join(lines) + "\n"

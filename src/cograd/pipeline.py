@@ -4,9 +4,12 @@ The end-to-end flow: sample a node-induced observation of the true graph,
 train the edge predictor on it, build a QUBO whose edge weights are the
 predicted probabilities, descend the relaxed energy with the GCN solver,
 then repair and score the decision on the true graph it will be executed
-on. Lambda times the predictor's frozen reconstruction loss is a constant:
-it shifts the solver's reported loss and ``combined_loss`` but enters no
-gradient, so it changes no decision.
+on. The predicted graph is sparse: the observed edges plus a budget of
+predicted partners per unobserved node, about as many edges as the true
+graph has, and no stage builds an n x n array. Lambda times the
+predictor's frozen reconstruction loss is a constant: it shifts the
+solver's reported loss and ``combined_loss`` but enters no gradient, so it
+changes no decision.
 """
 
 from __future__ import annotations
@@ -134,11 +137,10 @@ class CoverageModel:
 
 
 def soft_adjacency_graph(soft: SoftAdjacency) -> Graph:
-    """Weighted graph of every pair whose probability clears the cutoff."""
-    iu, iv = np.triu_indices(soft.n, k=1)
-    w = soft.probs[iu, iv]
-    keep = w >= _SOFT_EDGE_CUTOFF
-    return Graph.from_arrays(soft.n, iu[keep], iv[keep], w[keep])
+    """Weighted graph of every stored pair whose probability clears the
+    cutoff."""
+    keep = soft.w >= _SOFT_EDGE_CUTOFF
+    return Graph.from_arrays(soft.n, soft.u[keep], soft.v[keep], soft.w[keep])
 
 
 def combined_loss(
@@ -155,7 +157,7 @@ def end_to_end_solve(g_true: Graph, cfg: PipelineConfig) -> PipelineResult:
     """Observe, predict, optimize on the prediction, execute on the truth.
 
     With full observation the predicted graph collapses to the true one
-    (observed evidence overrides every pair), so at lam = 0 the result is
+    (every pair is observed, so none is scored), so at lam = 0 the result is
     bit-identical to the standalone solver under the same solver seed.
     """
     t0 = time.perf_counter()

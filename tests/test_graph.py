@@ -286,6 +286,27 @@ def test_from_arrays_raises_constructor_errors(n, edges):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (3, [(0, 2**70)], "edge (0,1180591620717411303424) out of range for n=3"),
+        (3, [(0, 1), (-(2**63) - 1, 2)], "out of range for n=3"),
+        (3, [(0, 1), (0, 1), (2**64, 1)], "edge (18446744073709551616,1) out of range"),
+        # an earlier bad edge is still the one reported
+        (3, [(0, 5), (0, 2**70)], "edge (0,5) out of range for n=3"),
+        (3, [(2, 2), (0, 2**70)], "self-loop at node 2"),
+        (-1, [(0, 2**70)], "node count must be nonnegative"),
+    ],
+)
+def test_index_beyond_int64_is_out_of_range(n, edges, message):
+    with pytest.raises(ValueError) as err:
+        Graph(n, edges)
+    assert message in str(err.value)
+    with pytest.raises(ValueError) as err:
+        Graph.from_arrays(n, [e[0] for e in edges], [e[1] for e in edges])
+    assert message in str(err.value)
+
+
 def test_from_arrays_rejects_ragged_arrays():
     with pytest.raises(ValueError, match="equal length"):
         Graph.from_arrays(3, [0, 1], [1, 2], [1.0])

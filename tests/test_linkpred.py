@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -8,6 +10,7 @@ from cograd.gnn import TrainConfig, TrainingDivergedError, default_dims
 from cograd.graph import (
     Graph,
     ObservedSample,
+    generate_d_regular,
     generate_erdos_renyi,
     renormalized_adjacency,
     sample_observed_subgraph,
@@ -272,3 +275,141 @@ def test_reconstruction_bce_equals_dense_label_formula():
         y = adj[iu, iv]
         want = float(-np.mean(y * np.log(sc) + (1.0 - y) * np.log(1.0 - sc)))
         assert reconstruction_bce(params, s) == want
+
+
+def test_soft_adjacency_from_pairs_matches_dense_constructor():
+    rng = np.random.default_rng(0)
+    n = 9
+    probs = np.triu(rng.random((n, n)), k=1)
+    probs[probs < 0.5] = 0.0
+    probs[0, 3] = 1.0
+    probs = probs + probs.T
+    dense = SoftAdjacency(probs)
+    iu, iv = np.nonzero(np.triu(probs, k=1))
+    # any order and orientation, explicit zeros included
+    order = rng.permutation(len(iu))
+    u = np.concatenate([iv[order], [1]])
+    v = np.concatenate([iu[order], [2]])
+    w = np.concatenate([probs[iu, iv][order], [0.0]])
+    pairs = SoftAdjacency.from_pairs(n, u, v, w)
+    for a, b in [(dense, pairs), (pairs, dense)]:
+        assert a.n == b.n == n
+        assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+        assert np.array_equal(a.w, b.w)
+    assert np.array_equal(dense.u, iu) and np.array_equal(dense.v, iv)
+    assert np.array_equal(dense.probs, probs)
+    assert np.array_equal(pairs.probs, probs)
+    empty = SoftAdjacency.from_pairs(4, [], [], [])
+    assert np.array_equal(empty.probs, np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize(
+    "u, v, w, fragment",
+    [
+        ([0], [3], [0.5], "out of range"),
+        ([1], [1], [0.5], "self-loop"),
+        ([0, 1], [1, 0], [0.5, 0.5], "duplicate"),
+        ([0], [1], [1.5], "0, 1"),
+        ([0], [1], [-0.1], "0, 1"),
+        ([0], [1], [np.nan], "0, 1"),
+        ([0, 1], [1, 2], [0.5], "equal length"),
+    ],
+)
+def test_soft_adjacency_from_pairs_validation(u, v, w, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        SoftAdjacency.from_pairs(3, u, v, w)
+
+
+def _budget(sample, full_n):
+    og = sample.observed_graph
+    return min(max(1, round(2 * og.m * full_n / og.n**2)), full_n - 1)
+
+
+@pytest.mark.parametrize("frac, full_n", [(0.6, 40), (0.8, 40), (0.5, 46)])
+def test_predicted_pairs_are_truth_plus_budgeted_partners(frac, full_n):
+    g = generate_erdos_renyi(40, 0.1, seed=5)
+    s = sample_observed_subgraph(g, frac, seed=2)
+    params = train_predictor(s, full_n, _FAST)
+    soft = predict_adjacency(params, s)
+    kept, og = s.kept_nodes, s.observed_graph
+    unobs = np.setdiff1d(np.arange(full_n), kept)
+    k = _budget(s, full_n)
+    assert len(soft.w) <= og.m + k * len(unobs)
+    assert np.all(soft.u < soft.v)
+    assert np.all(np.diff(soft.u * full_n + soft.v) > 0)
+    observed = np.isin(soft.u, kept) & np.isin(soft.v, kept)
+    truth = {(int(kept[a]), int(kept[b])) for a, b, _ in og.edges}
+    assert {(int(a), int(b)) for a, b in zip(soft.u[observed], soft.v[observed])} == truth
+    assert np.all(soft.w[observed] == 1.0)
+    pairs = np.column_stack([soft.u[~observed], soft.v[~observed]])
+    assert np.array_equal(soft.w[~observed], pair_scores(params, s, pairs))
+    # each unobserved node keeps its k best partners, so it has at least k
+    touch = np.bincount(np.concatenate([soft.u, soft.v]), minlength=full_n)
+    assert np.all(touch[unobs] >= k)
+
+
+def test_partner_budget_is_sampling_corrected_mean_degree():
+    # 3-regular, n = 800, 80 % observed: the budget is the true degree
+    g = generate_d_regular(800, 3, seed=0)
+    s = sample_observed_subgraph(g, 0.8, seed=0)
+    assert _budget(s, 800) == 3
+    params = PredictorParams(
+        embed=np.random.default_rng(0).normal(size=(800, 8)), w=np.eye(8, 4)
+    )
+    soft = predict_adjacency(params, s)
+    assert len(soft.w) <= s.observed_graph.m + 3 * 160
+    assert len(soft.w) <= 2 * g.m
+
+
+def test_tied_scores_go_to_smaller_index():
+    # nodes 0 and 1 are observed with one edge; 2..7 are unobserved and
+    # isolated in the known graph, so their codes are their embedding rows.
+    # Every unobserved pair scores exactly 1 and every pair with an
+    # observed node 0; the budget is round(2 * 1 * 8 / 2**2) = 4 of 5 ties.
+    s = ObservedSample(
+        kept_nodes=np.array([0, 1]), observed_graph=Graph(2, [(0, 1)]), original_n=8
+    )
+    embed = np.zeros((8, 2))
+    embed[2:, 0] = 1.0
+    params = PredictorParams(embed=embed, w=np.eye(2))
+    soft = predict_adjacency(params, s)
+    got = {(int(a), int(b)) for a, b in zip(soft.u, soft.v)}
+    want = {(0, 1)}
+    for a in range(2, 8):
+        others = [b for b in range(2, 8) if b != a][:4]
+        want |= {(min(a, b), max(a, b)) for b in others}
+    assert got == want
+    assert (6, 7) not in got and (2, 3) in got
+
+
+def test_predict_adjacency_memory_is_far_below_dense():
+    n = 3000
+    g = generate_d_regular(n, 3, seed=1)
+    s = sample_observed_subgraph(g, 0.8, seed=1)
+    d_in, d_z = default_dims(n)
+    rng = np.random.default_rng(0)
+    params = PredictorParams(
+        embed=rng.normal(size=(n, d_in)), w=rng.normal(size=(d_in, d_z)) / d_in
+    )
+    tracemalloc.start()
+    try:
+        soft = predict_adjacency(params, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(soft.w) <= 2 * g.m
+    assert peak < n * n * 8 / 10, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("cutoff", [0.0, -1.0, float("nan")])
+def test_export_soft_adjacency_rejects_nonpositive_cutoff(cutoff):
+    soft = SoftAdjacency(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    with pytest.raises(ValueError, match="cutoff"):
+        export_soft_adjacency(soft, cutoff)
+
+
+def test_export_soft_adjacency_lists_stored_pairs_in_order():
+    soft = SoftAdjacency.from_pairs(5, [4, 3, 0, 2], [1, 0, 2, 1], [0.25, 0.5, 1.0, 2e-4])
+    text = export_soft_adjacency(soft)
+    assert text == "i,j,prob\n0,2,1.0\n0,3,0.5\n1,4,0.25\n"
+    assert export_soft_adjacency(soft, 1e-4).splitlines()[3] == "1,2,0.0002"

@@ -7,9 +7,21 @@ import json
 import numpy as np
 import pytest
 
+from scipy.special import expit
+
 from cograd.gnn import TrainConfig, project_and_repair, train
-from cograd.graph import Graph, generate_erdos_renyi, sample_observed_subgraph
-from cograd.linkpred import predict_adjacency, train_predictor
+from cograd.graph import (
+    Graph,
+    generate_erdos_renyi,
+    renormalized_adjacency,
+    sample_observed_subgraph,
+)
+from cograd.linkpred import (
+    PredictorParams,
+    known_graph,
+    predict_adjacency,
+    train_predictor,
+)
 from cograd.pipeline import (
     CoverageModel,
     PipelineConfig,
@@ -259,3 +271,47 @@ def test_predictor_perturbation_barely_moves_solver_loss():
         ProblemKind.MAXCUT, soft_adjacency_graph(predict_adjacency(params, sample))
     )
     assert abs(eval_hamiltonian(q2, p) - base) <= 1e-3
+
+
+def _dense_predicted_graph(params, sample):
+    """The predicted graph through a dense n x n matrix: every pair scored,
+    symmetrized, observed pairs overwritten with their clipped truth, pairs
+    below 1e-3 dropped."""
+    n = params.full_n
+    z = (renormalized_adjacency(known_graph(sample, n)) @ params.embed) @ params.w
+    probs = expit(z @ z.T)
+    np.fill_diagonal(probs, 0.0)
+    probs = (probs + probs.T) / 2.0
+    kept, og = sample.kept_nodes, sample.observed_graph
+    block = np.zeros((len(kept), len(kept)))
+    block[og.edge_u, og.edge_v] = og.edge_w
+    block[og.edge_v, og.edge_u] = og.edge_w
+    probs[np.ix_(kept, kept)] = np.clip(block, 0.0, 1.0)
+    iu, iv = np.triu_indices(n, k=1)
+    w = probs[iu, iv]
+    keep = w >= 1e-3
+    return Graph.from_arrays(n, iu[keep], iv[keep], w[keep])
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        # weights above 1, below the 1e-3 cutoff, negative; isolated nodes 5, 6
+        (7, [(0, 1, 2.5), (1, 2, 5e-4), (2, 3, -0.25), (3, 4, 0.4), (0, 4, 1e-3),
+             (1, 3, 1.0), (0, 2, 0.0)]),
+        (12, [(u, v, 1.0) for u, v in [(0, 1), (1, 2), (2, 0), (3, 4), (8, 9)]]),
+        (3, []),
+        (1, []),
+    ],
+)
+def test_full_observation_prediction_equals_dense_reference(n, edges):
+    g = Graph(n, edges)
+    sample = sample_observed_subgraph(g, 1.0, seed=0)
+    rng = np.random.default_rng(n)
+    params = PredictorParams(embed=rng.normal(size=(n, 4)), w=rng.normal(size=(4, 3)))
+    got = soft_adjacency_graph(predict_adjacency(params, sample))
+    want = _dense_predicted_graph(params, sample)
+    assert got == want
+    for a, b in [(got.edge_u, want.edge_u), (got.edge_v, want.edge_v),
+                 (got.edge_w, want.edge_w), (got.degree, want.degree)]:
+        assert a.dtype == b.dtype and np.array_equal(a, b)

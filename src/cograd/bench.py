@@ -1,18 +1,15 @@
 """Benchmark suites: run solvers over instances and emit CSV/JSON reports.
 
-A suite is a cross product of instances, methods, and seeds. Every row is
-seed-deterministic, so worker parallelism (bounded by the GDFL_THREADS
-environment variable) changes wall time only, never values.
+A suite is a cross product of instances, methods, and seeds. Rows run one
+at a time in the calling thread, and every row is seed-deterministic.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
@@ -204,23 +201,15 @@ def _run_row(
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("GDFL_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ValueError(f"GDFL_THREADS must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise ValueError(f"GDFL_THREADS must be at least 1, got {count}")
-    return count
+    # kept for perfbench: SuiteSmall.setup (workloads.py), environment() (worker.py)
+    return 1
 
 
 def run_suite(spec: SuiteSpec) -> BenchReport:
     """Run every (instance, method, seed) combination into one report.
 
     Instances load up front so a missing file fails before any solver
-    starts. Rows are ordered by (instance, method, seed).
+    starts. Rows run and are ordered by (instance, method, seed).
     """
     graphs = {inst.name: inst.load() for inst in spec.instances}
     tasks = sorted(
@@ -229,21 +218,17 @@ def run_suite(spec: SuiteSpec) -> BenchReport:
         for method in spec.methods
         for seed in spec.seeds
     )
-    rows: list[dict] = [None] * len(tasks)  # type: ignore[list-item]
-
-    def run(idx_task):
-        idx, (name, method, seed) = idx_task
-        rows[idx] = _run_row(spec, name, graphs[name], method, seed)
-
-    if tasks:
-        with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-            list(pool.map(run, enumerate(tasks)))
+    # _run_row is looked up per row: perfbench's traced suite-small wraps it
+    rows = tuple(
+        _run_row(spec, name, graphs[name], method, seed)
+        for name, method, seed in tasks
+    )
     metadata = {
         "config_digest": spec.digest(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "tool_version": __version__,
     }
-    return BenchReport(rows=tuple(rows), metadata=metadata)
+    return BenchReport(rows=rows, metadata=metadata)
 
 
 def _csv_cell(value) -> str:

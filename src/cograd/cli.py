@@ -22,7 +22,6 @@ from .bench import (
     SuiteSpec,
     _pipeline_cfg,
     _run_row,
-    _worker_count,
     emit_report,
     run_suite,
 )
@@ -58,6 +57,16 @@ _SPEC_FIELDS = {
     "d0": ("d0", int),
     "d1": ("d1", int),
 }
+
+
+def _fits(value, kind: type) -> bool:
+    """Whether a config-file value has a flag's type: JSON true/false is a
+    bool and nothing else, and an int flag takes an integral number."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    if kind is int and isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, (int, float))
 
 
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -134,6 +143,9 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     sub = subparsers[ns.command]
     # argparse checks choices on command-line values only, not on defaults
     choices = {a.dest: a.choices for a in sub._actions if a.choices is not None}
+    # nor types: a file value must already have its flag's type
+    types = {dest: convert for dest, (_, convert) in _SPEC_FIELDS.items()}
+    types.update({a.dest: a.type for a in sub._actions if a.type is not None})
     values = {}
     for key, value in doc.items():
         # "lambda" is a Python keyword, so its dest is "lam"
@@ -144,6 +156,11 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
             allowed = ", ".join(map(repr, choices[dest]))
             raise _UsageError(
                 f"config key {key!r}: invalid choice {value!r} (choose from {allowed})"
+            )
+        kind = types.get(dest)
+        if kind is not None and not _fits(value, kind):
+            raise _UsageError(
+                f"config key {key!r}: expected {kind.__name__}, got {value!r}"
             )
         values[dest] = value
     # the subparser fills its own defaults, so they are where the file goes
@@ -213,10 +230,6 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
         instances = tuple(InstanceSpec(**d) for d in ns.instances)
     except TypeError as exc:
         raise _UsageError(f"bad instance entry: {exc}") from exc
-    try:
-        _worker_count()
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     base = int(ns.seed)
     seeds = tuple(range(base, base + int(ns.seeds)))
     spec = _suite_spec(ns, instances, tuple(ns.methods), seeds)

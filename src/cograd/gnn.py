@@ -104,12 +104,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if not 0 <= self.tolerance < np.inf:
+            raise ValueError("tolerance must be nonnegative and finite")
 
 
 def default_dims(n: int) -> tuple[int, int]:

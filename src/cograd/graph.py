@@ -246,13 +246,13 @@ def parse_gset(text: str | bytes) -> Graph:
 
     Node indices in the file are 1-based; the returned graph is 0-based.
     The weight token may be any integer (negative weights occur in the wild)
-    or a decimal; a missing weight defaults to 1.
+    or a finite decimal; a missing weight defaults to 1.
 
     Raises
     ------
     GsetFormatError
-        On malformed lines, out-of-range indices, self-loops or duplicate
-        edges; the message names the 1-based line number.
+        On malformed lines, non-finite weights, out-of-range indices,
+        self-loops or duplicates; the message names the 1-based line.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
@@ -286,6 +286,8 @@ def parse_gset(text: str | bytes) -> Graph:
             raise GsetFormatError(
                 f"line {lineno}: expected 'i j w', got {raw!r}"
             ) from None
+        if not np.isfinite(w):
+            raise GsetFormatError(f"line {lineno}: weight must be finite, got {parts[2]!r}")
         if not (1 <= i <= n and 1 <= j <= n):
             raise GsetFormatError(f"line {lineno}: node index out of range 1..{n}")
         if i == j:

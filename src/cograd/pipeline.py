@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ from .qubo import (
     BinaryAssignment,
     ProblemKind,
     QuboMatrix,
+    _check_penalty,
     build_qubo,
     eval_hamiltonian,
     is_feasible,
@@ -78,8 +79,9 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0.0 < self.observe_fraction <= 1.0:
             raise ValueError("observe_fraction must be in (0, 1]")
-        if self.lam < 0.0:
-            raise ValueError("lambda coefficient must be nonnegative")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError("lambda coefficient must be nonnegative and finite")
+        _check_penalty(ProblemKind(self.kind), self.penalty)
 
 
 @dataclass(frozen=True)
@@ -102,21 +104,13 @@ class PipelineResult:
     combined_loss: float
 
     def to_json(self) -> str:
+        """Every field but the assignment, in field order; ``lam`` is keyed
+        "lambda"."""
         return json.dumps(
             {
-                "problem": self.problem,
-                "n": self.n,
-                "m": self.m,
-                "observe_fraction": self.observe_fraction,
-                "lambda": self.lam,
-                "seed": self.seed,
-                "objective_true": self.objective_true,
-                "objective_predicted": self.objective_predicted,
-                "feasible_true": self.feasible_true,
-                "runtime_ms": self.runtime_ms,
-                "h_qubo": self.h_qubo,
-                "l_obj": self.l_obj,
-                "combined_loss": self.combined_loss,
+                "lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+                for f in fields(self)
+                if f.name != "assignment"
             }
         )
 

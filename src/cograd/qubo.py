@@ -157,6 +157,12 @@ class QuboMatrix:
         return f"QuboMatrix(n={self.n}, nnz={nnz}, offset={self.offset:g})"
 
 
+def _check_penalty(kind: ProblemKind, penalty: float) -> None:
+    """MIS and MVC need a finite penalty above 1; MaxCut has none."""
+    if kind is not ProblemKind.MAXCUT and not 1.0 < penalty < np.inf:
+        raise ValueError(f"{kind.value} penalty must be finite and above 1, got {penalty}")
+
+
 def build_qubo(kind: ProblemKind, g: Graph, penalty: float = 2.0) -> QuboMatrix:
     """Encode a problem on g as a Hamiltonian to minimize.
 
@@ -170,7 +176,7 @@ def build_qubo(kind: ProblemKind, g: Graph, penalty: float = 2.0) -> QuboMatrix:
     The constant from the MVC expansion lives in the offset, keeping the
     matrix purely linear/quadratic while H(x) stays exact. For MIS/MVC any
     penalty P > 1 makes constraint violations strictly unprofitable at unit
-    weights; P <= 1 is rejected.
+    weights; P <= 1 and a non-finite P are rejected.
 
     Built from the edge arrays. Every sum runs in the order of a loop over
     the canonical edges (node terms first), so the result is the same, bit
@@ -188,8 +194,7 @@ def build_qubo(kind: ProblemKind, g: Graph, penalty: float = 2.0) -> QuboMatrix:
         diag_nodes = np.flatnonzero(np.bincount(ends, minlength=n))
         diag = np.bincount(ends, weights=np.repeat(-w, 2), minlength=n)
     else:
-        if penalty <= 1.0:
-            raise ValueError(f"penalty must exceed 1 for {kind.value}, got {penalty}")
+        _check_penalty(kind, penalty)
         sign = -1.0 if kind is ProblemKind.MIS else 1.0
         coeff = 0.0 + penalty * g.weights / 2.0
         diag_nodes = np.arange(n)

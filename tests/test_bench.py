@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import threading
+from pathlib import Path
 
 import pytest
 
+import cograd.bench as cograd_bench
 from cograd.bench import (
     CSV_HEADER,
     BenchReport,
@@ -189,18 +193,42 @@ def test_solver_methods_feasible_rows():
         assert row["objective"] >= 1.0
 
 
-def test_thread_env_bound(tmp_path, monkeypatch):
+def test_rows_run_in_order_in_the_calling_thread(tmp_path, monkeypatch):
     spec = SuiteSpec(
-        problem=ProblemKind.MAXCUT,
-        instances=(InstanceSpec("c4", path=_c4_file(tmp_path)),),
-        methods=("dga", "oracle"),
-        seeds=(0, 1, 2),
+        problem=ProblemKind.MIS,
+        instances=(
+            InstanceSpec("er", generator="erdos-renyi", n=8, p=0.5, seed=1),
+            InstanceSpec("c4", path=_c4_file(tmp_path)),
+        ),
+        methods=("oracle", "gnn-solver", "dga"),
+        seeds=(2, 0, 1),
+        epochs=50,
     )
-    monkeypatch.setenv("GDFL_THREADS", "1")
-    serial = [dict(r, runtime_ms=0.0) for r in run_suite(spec).rows]
-    monkeypatch.setenv("GDFL_THREADS", "3")
-    parallel = [dict(r, runtime_ms=0.0) for r in run_suite(spec).rows]
-    assert serial == parallel
-    monkeypatch.setenv("GDFL_THREADS", "0")
-    with pytest.raises(ValueError, match="GDFL_THREADS"):
-        run_suite(spec)
+    inner = cograd_bench._run_row
+    calls = []
+
+    def recording(spec, name, g, method, seed):
+        calls.append((threading.get_ident(), (name, method, seed)))
+        return inner(spec, name, g, method, seed)
+
+    monkeypatch.setattr(cograd_bench, "_run_row", recording)
+    first = run_suite(spec).rows
+    second = run_suite(spec).rows
+    assert {ident for ident, _ in calls} == {threading.get_ident()}
+    order = [task for _, task in calls]
+    assert len(order) == 2 * 2 * 3 * 3
+    assert order[:18] == sorted(order[:18]) == order[18:]
+    assert order[:18] == [(r["instance"], r["method"], r["seed"]) for r in first]
+    assert [dict(r, runtime_ms=0.0) for r in first] == [
+        dict(r, runtime_ms=0.0) for r in second
+    ]
+
+
+def test_perfbench_harness_contract(tmp_path, monkeypatch):
+    # perfbench reads the worker count and wraps _run_row of this module
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    assert workloads.cograd_bench is cograd_bench
+    assert cograd_bench._worker_count() == 1
+    st = workloads.SuiteSmall().setup(0, workloads.NULL, str(tmp_path))
+    assert len(st.specs) == len(workloads.SuiteSmall.instances)

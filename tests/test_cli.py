@@ -132,6 +132,74 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "wibble" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("polish", "false"),
+        ("polish", 0),
+        ("epochs", 30.9),
+        ("epochs", True),
+        ("epochs", "30"),
+        ("seed", 1.5),
+        ("d0", 4.5),
+        ("lr", "0.1"),
+        ("penalty", None),
+        ("penalty", False),
+    ],
+)
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, ring6, capsys,
+                                                   key, value):
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps({"problem": "mis", "input": ring6, key: value}))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config key {key!r}" in captured.err
+
+
+def test_config_numbers_take_the_flag_type(tmp_path, ring6, capsys):
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps({"problem": "mis", "input": ring6, "epochs": 200.0,
+                               "lr": 1, "polish": False}))
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["feasible"] is True
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_weight_is_data_error(tmp_path, capsys, command, token):
+    path = tmp_path / "g.txt"
+    path.write_text(f"3 2\n1 2 1\n2 3 {token}\n")
+    assert main([command, "--problem", "mis", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("solve", ["--problem", "maxcut", "--lr", "nan"]),
+        ("solve", ["--problem", "mis", "--penalty", "nan"]),
+        ("solve", ["--problem", "mvc", "--penalty", "inf"]),
+        ("dfl", ["--problem", "mis", "--lr", "inf"]),
+        ("dfl", ["--problem", "mvc", "--penalty", "nan"]),
+        ("dfl", ["--problem", "maxcut", "--lambda", "nan"]),
+        ("dfl", ["--problem", "mis", "--lambda", "inf"]),
+    ],
+)
+def test_non_finite_setting_is_data_error_before_training(
+    ring6, capsys, monkeypatch, command, flags
+):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("cograd.pipeline.train_predictor", no_training)
+    monkeypatch.setattr("cograd.bench.train", no_training)
+    assert main([command, "--input", ring6, *flags]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "finite" in err
+
+
 def test_malformed_config_is_usage_error(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
@@ -206,18 +274,6 @@ def test_out_flag_writes_file(tmp_path, ring6):
     assert main(["oracle", "--problem", "mis", "--input", ring6,
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["method"] == "oracle"
-
-
-def test_bad_thread_count_is_usage_error(tmp_path, ring6, capsys, monkeypatch):
-    cfg = tmp_path / "suite.json"
-    cfg.write_text(json.dumps({
-        "problem": "maxcut",
-        "instances": [{"name": "ring6", "path": ring6}],
-        "methods": ["dga"],
-    }))
-    monkeypatch.setenv("GDFL_THREADS", "abc")
-    assert main(["bench", "--config", str(cfg)]) == 1
-    assert "GDFL_THREADS" in capsys.readouterr().err
 
 
 def test_solve_row_matches_suite_row(tmp_path, capsys):

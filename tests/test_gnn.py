@@ -331,6 +331,13 @@ def test_train_config_validation():
         TrainConfig(tolerance=-1e-9)
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "tolerance"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_train_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be .* finite"):
+        TrainConfig(**{field: value})
+
+
 def test_default_dims():
     assert default_dims(1) == (4, 2)
     assert default_dims(12) == (4, 2)

@@ -69,6 +69,9 @@ def test_parse_gset_default_weight():
         ("2 2\n1 2\n2 1\n", "duplicate"),
         ("2 2\n1 2\n", "declares 2 edges"),
         ("2 1\n1 x\n", "line 2"),
+        ("2 1\n1 2 nan\n", "line 2: weight must be finite"),
+        ("3 2\n1 2\n2 3 inf\n", "line 3: weight must be finite"),
+        ("2 1\n1 2 -inf\n", "line 2: weight must be finite"),
     ],
 )
 def test_parse_gset_errors(text, fragment):

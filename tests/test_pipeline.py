@@ -57,6 +57,21 @@ def test_config_validation():
         PipelineConfig(kind=ProblemKind.MAXCUT, lam=-0.5)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_lambda(value):
+    with pytest.raises(ValueError, match="lambda .* finite"):
+        PipelineConfig(kind=ProblemKind.MAXCUT, lam=value)
+
+
+@pytest.mark.parametrize("kind", [ProblemKind.MIS, ProblemKind.MVC])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1.0])
+def test_config_checks_penalty_before_training(kind, value):
+    with pytest.raises(ValueError, match="penalty must be finite and above 1"):
+        PipelineConfig(kind=kind, penalty=value)
+    # MaxCut has no constraints; the setting is ignored
+    PipelineConfig(kind=ProblemKind.MAXCUT, penalty=value)
+
+
 def test_coverage_model_validation():
     with pytest.raises(ValueError, match="2-d"):
         CoverageModel(np.array([0.5, 0.5]))

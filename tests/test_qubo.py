@@ -100,6 +100,13 @@ def test_penalty_at_most_one_rejected():
     build_qubo(ProblemKind.MAXCUT, g, penalty=0.0)
 
 
+@pytest.mark.parametrize("kind", [ProblemKind.MIS, ProblemKind.MVC])
+@pytest.mark.parametrize("penalty", [float("nan"), float("inf")])
+def test_non_finite_penalty_rejected(kind, penalty):
+    with pytest.raises(ValueError, match="penalty must be finite"):
+        build_qubo(kind, Graph(2, [(0, 1)]), penalty=penalty)
+
+
 def test_mis_triangle_hand_values():
     g = Graph(3, [(0, 1), (0, 2), (1, 2)])
     q = build_qubo(ProblemKind.MIS, g)

@@ -9,17 +9,33 @@ computed analytically; the only dependency is numpy/scipy.
 :func:`train` allocates one workspace of epoch buffers per call and the
 epoch writes into it, as :class:`Adam` does into its own moment and scratch
 arrays: at large n the epoch is otherwise bound by allocating and faulting
-in fresh n x d temporaries. The public :func:`forward` and :func:`backward`
-run the same kernel on a fresh workspace, so they return new arrays.
+in fresh n x d temporaries, and at small n by the Python dispatch around
+each operation. So that Adam steps one array, the parameters live in one
+flat buffer and the workspace's gradients in another; the tensors of
+:class:`GcnParams` and the gradient tensors are views into them, filled in
+place as they are drawn. The relaxed energy and dH/dp share one product
+Q_offdiag p per epoch. The public :func:`forward` and :func:`backward` run
+the same kernel on a fresh workspace, so they return new arrays.
+
+The sparse products go through :func:`_spmm`, which writes ``a @ x`` into a
+workspace buffer by calling the compiled kernel that scipy's ``@`` calls.
+scipy offers no ``out=`` for a sparse-dense product, and its ``@`` pays
+for argument dispatch and a fresh zeroed result on every call, a cost
+that does not shrink with n. The kernel (``csr_matvec`` and
+``csr_matvecs`` in ``scipy.sparse._sparsetools``) is private to scipy, so
+:func:`_spmm` stays private here and a test pins it, byte for byte, to
+``a @ x``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from scipy.special import expit
 
 from .baselines import one_flip_local_search
@@ -124,16 +140,87 @@ def init_params(n: int, d0: int, d1: int, seed: int) -> GcnParams:
     """Seeded normal init, scale 1/sqrt(fan-in) per tensor.
 
     Fan-in is the width feeding each product: d0 for the embedding table and
-    first layer, d1 for the output layer.
+    first layer, d1 for the output layer. The tensors are views into one
+    flat buffer, in the order h0, w0, w1.
     """
+    return _init_flat(n, d0, d1, seed)[1]
+
+
+def _init_flat(n: int, d0: int, d1: int, seed: int) -> tuple[np.ndarray, GcnParams]:
+    """:func:`init_params` and the flat buffer its tensors are views of."""
     if d0 < 1 or d1 < 1:
         raise ValueError("embedding dims must be at least 1")
     rng = np.random.default_rng(seed)
-    return GcnParams(
-        h0=rng.normal(0.0, 1.0 / np.sqrt(d0), (n, d0)),
-        w0=rng.normal(0.0, 1.0 / np.sqrt(d0), (d0, d1)),
-        w1=rng.normal(0.0, 1.0 / np.sqrt(d1), (d1, 1)),
-    )
+    scales = (1.0 / np.sqrt(d0), 1.0 / np.sqrt(d0), 1.0 / np.sqrt(d1))
+    flat, views = _draw_normal(rng, _gcn_shapes(n, d0, d1), scales)
+    return flat, GcnParams(*views)
+
+
+def _gcn_shapes(n: int, d0: int, d1: int) -> list[tuple[int, int]]:
+    return [(n, d0), (d0, d1), (d1, 1)]
+
+
+def _carve(shapes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A new flat buffer and its consecutive C-ordered views, one per shape."""
+    flat = np.empty(sum(math.prod(shape) for shape in shapes))
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[at : at + size].reshape(shape))
+        at += size
+    return flat, views
+
+
+def _draw_normal(
+    rng: np.random.Generator,
+    shapes: Sequence[tuple[int, ...]],
+    scales: Sequence[float],
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A flat buffer and its views (:func:`_carve`) holding, in turn, the
+    draws ``rng.normal(0.0, scale, shape)`` would give, bit for bit.
+
+    Each view is filled in place, so no second copy of the draws exists.
+    """
+    flat, views = _carve(shapes)
+    for view, scale in zip(views, scales):
+        rng.standard_normal(out=view)
+        view *= scale
+        view += 0.0  # rng.normal returns 0.0 + scale * z, which maps -0.0 to 0.0
+    return flat, views
+
+
+def _spmm(a: sp.csr_array, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ x`` written into ``out``, which it returns, bit for bit.
+
+    ``a`` is a float64 CSR matrix; ``x`` is a float64 vector or matrix with
+    as many rows as ``a`` has columns; ``out`` is a C-contiguous float64
+    array of the product's shape. As in scipy's dispatch, a vector or a
+    single column goes through ``csr_matvec`` and a wider matrix through
+    ``csr_matvecs``; both add into ``out``, which is zeroed first.
+    """
+    m, n = a.shape
+    if not (
+        a.format == "csr"
+        and a.dtype == x.dtype == out.dtype == np.float64
+        and 1 <= x.ndim <= 2
+        and x.shape[0] == n
+        and out.shape == (m,) + x.shape[1:]
+        and out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"cannot write a {a.shape} {a.dtype} {a.format} matrix times a "
+            f"{x.shape} {x.dtype} array into a {out.shape} {out.dtype} array"
+        )
+    out.fill(0.0)
+    if x.ndim == 1 or x.shape[1] == 1:
+        _sparsetools.csr_matvec(
+            m, n, a.indptr, a.indices, a.data, x.ravel(), out.ravel()
+        )
+    else:
+        _sparsetools.csr_matvecs(
+            m, n, x.shape[1], a.indptr, a.indices, a.data, x.ravel(), out.ravel()
+        )
+    return out
 
 
 def _check_shapes(params: GcnParams, a_hat: sp.csr_array) -> None:
@@ -151,12 +238,12 @@ def _check_shapes(params: GcnParams, a_hat: sp.csr_array) -> None:
 class _Workspace:
     """Buffers of one solver epoch at fixed shapes.
 
-    :meth:`forward` and :meth:`backward` write every intermediate into
-    these arrays, so an epoch allocates nothing of size n x d; the sparse
-    products are copied in. The gradients :meth:`backward` returns are
-    buffers of the workspace, overwritten by its next call. Without
-    ``grads`` only the forward buffers exist, so a lone forward pass
-    touches no more fresh memory than it uses.
+    :meth:`forward`, :meth:`energy` and :meth:`backward` write every
+    intermediate into these arrays, so an epoch allocates nothing of size
+    n x d. The gradients :meth:`backward` returns are views into the flat
+    buffer ``grad``, in the order of :func:`init_params`, overwritten by its
+    next call. Without ``grads`` only the forward buffers exist, so a lone
+    forward pass touches no more fresh memory than it uses.
     """
 
     def __init__(self, n: int, d0: int, d1: int, *, grads: bool = True):
@@ -167,43 +254,55 @@ class _Workspace:
         self.p = np.empty(n)
         if not grads:
             return
+        # Q_offdiag p, and the QUBO it belongs to while p is unchanged
+        self.qp = np.empty(n)
+        self.qp_of = None
         self.dz2 = np.empty((n, 1))
         self.one_minus_p = np.empty(n)
         self.dp1 = np.empty((n, d1))
         self.dh1 = np.empty((n, d1))
         self.relu_mask = np.empty((n, d1), dtype=bool)
         self.dp0 = np.empty((n, d0))
-        self.dh0 = np.empty((n, d0))
-        self.dw0 = np.empty((d0, d1))
-        self.dw1 = np.empty((d1, 1))
+        self.grad, (self.dh0, self.dw0, self.dw1) = _carve(_gcn_shapes(n, d0, d1))
 
     def forward(self, params: GcnParams, a_hat: sp.csr_array) -> np.ndarray:
         """p = sigmoid(Â relu(Â h0 w0) w1) into ``self.p``, which it returns."""
-        np.copyto(self.p0, a_hat @ params.h0)
+        self.qp_of = None
+        _spmm(a_hat, params.h0, self.p0)
         np.matmul(self.p0, params.w0, out=self.h1)  # z1, rectified in place
         np.maximum(self.h1, 0.0, out=self.h1)
-        np.copyto(self.p1, a_hat @ self.h1)
+        _spmm(a_hat, self.h1, self.p1)
         np.matmul(self.p1, params.w1, out=self.z2)
         expit(self.z2[:, 0], out=self.p)
         return np.clip(self.p, _P_EPS, 1.0 - _P_EPS, out=self.p)
+
+    def energy(self, q: QuboMatrix) -> float:
+        """H(p) at the last :meth:`forward`, as ``q.value(p)`` gives it; the
+        product Q_offdiag p is kept for :meth:`backward`."""
+        _spmm(q._offdiag, self.p, self.qp)
+        self.qp_of = q
+        return q._energy(self.p, self.qp)
 
     def backward(
         self, params: GcnParams, a_hat: sp.csr_array, q: QuboMatrix
     ) -> list[np.ndarray]:
         """Gradients [dh0, dw0, dw1] at the last :meth:`forward` of params."""
         p, dz2 = self.p, self.dz2[:, 0]
-        np.multiply(q.gradient(p), p, out=dz2)
+        if self.qp_of is not q:
+            _spmm(q._offdiag, p, self.qp)
+        q._energy_gradient(self.qp, out=dz2)
+        dz2 *= p
         np.subtract(1.0, p, out=self.one_minus_p)
         dz2 *= self.one_minus_p
         np.matmul(self.p1.T, self.dz2, out=self.dw1)
         np.matmul(self.dz2, params.w1.T, out=self.dp1)
-        np.copyto(self.dh1, a_hat @ self.dp1)
+        _spmm(a_hat, self.dp1, self.dh1)
         # h1 = relu(z1) is positive exactly where z1 is
         np.greater(self.h1, 0.0, out=self.relu_mask)
         dz1 = np.multiply(self.dh1, self.relu_mask, out=self.dh1)
         np.matmul(self.p0.T, dz1, out=self.dw0)
         np.matmul(dz1, params.w0.T, out=self.dp0)
-        np.copyto(self.dh0, a_hat @ self.dp0)
+        _spmm(a_hat, self.dp0, self.dh0)
         return [self.dh0, self.dw0, self.dw1]
 
 
@@ -282,15 +381,17 @@ class Adam:
 
 
 def descend(
-    arrays: list[np.ndarray],
-    evaluate: Callable[[], tuple[float, Callable[[], list[np.ndarray]]]],
+    params: np.ndarray,
+    evaluate: Callable[[], tuple[float, Callable[[], np.ndarray]]],
     cfg: TrainConfig,
     on_best: Callable[[], None] | None = None,
 ) -> list[tuple[int, float, float]]:
-    """Adam on ``arrays``, in place, under the best-loss patience window.
+    """Adam on the flat array ``params``, in place, under the best-loss
+    patience window.
 
-    Each epoch ``evaluate()`` returns the loss at the current arrays and a
-    function giving one gradient per array, called only when a step follows.
+    Each epoch ``evaluate()`` returns the loss at the current parameters and
+    a function giving their gradient, an array of the same shape, called
+    only when a step follows.
     ``on_best`` runs whenever the best loss improves. Stops at max_epochs or
     once the best loss gained less than ``tolerance`` over the last
     ``patience`` epochs (a window, so slow steady descent keeps going).
@@ -307,7 +408,7 @@ def descend(
     # non-finite arithmetic is caught by the loss guard, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.max_epochs + 1):
-            loss, grads = evaluate()
+            loss, grad = evaluate()
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
             if loss < best_loss:
@@ -321,7 +422,7 @@ def descend(
                 < cfg.tolerance
             ):
                 break
-            opt.step(arrays, grads())
+            opt.step([params], [grad()])
     return trace
 
 
@@ -351,18 +452,22 @@ def train(
         d0 = cfg.d0
     if cfg.d1 is not None:
         d1 = cfg.d1
-    params = init_params(g.n, d0, d1, cfg.seed)
+    flat, params = _init_flat(g.n, d0, d1, cfg.seed)
     ws = _Workspace(g.n, d0, d1)
     best_p = np.empty(g.n)
 
     def evaluate():
-        p = ws.forward(params, a_hat)
-        return q.value(p) + loss_offset, lambda: ws.backward(params, a_hat, q)
+        ws.forward(params, a_hat)
+        return ws.energy(q) + loss_offset, gradient
+
+    def gradient():
+        ws.backward(params, a_hat, q)
+        return ws.grad
 
     def keep_best():
         np.copyto(best_p, ws.p)
 
-    trace = descend(params.arrays(), evaluate, cfg, on_best=keep_best)
+    trace = descend(flat, evaluate, cfg, on_best=keep_best)
     return SoftAssignment(best_p), trace
 
 

@@ -46,7 +46,8 @@ class Graph:
         Number of nodes, labeled 0..n-1. Isolated nodes are legal.
     edges : iterable of (u, v) or (u, v, w)
         Undirected edges with 0-based endpoints; weight defaults to 1.0.
-        Self-loops and duplicate undirected edges are rejected.
+        Self-loops, duplicate undirected edges and non-finite weights are
+        rejected.
 
     Attributes
     ----------
@@ -99,6 +100,10 @@ class Graph:
 
     def _build(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
         _check_endpoints(n, u, v)
+        bad = ~np.isfinite(w)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ValueError(f"edge ({u[i]},{v[i]}) weight must be finite, got {w[i]}")
 
         # canonical u < v, sorted lexicographically: the key is monotone in
         # (u, v) and the sort is stable, as lexsort((v, u)) would be

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .gnn import TrainConfig, default_dims, descend
+from .gnn import TrainConfig, _carve, _draw_normal, _spmm, default_dims, descend
 from .graph import Graph, ObservedSample, renormalized_adjacency
 
 __all__ = [
@@ -96,12 +96,14 @@ class SoftAdjacency:
         """Probability w[i] on pair (u[i], v[i]), 0 on every other pair.
 
         Pairs may come in any order and orientation. Raises ValueError for
-        a pair out of range, a self-loop, a repeated pair or a probability
-        outside [0, 1], as :meth:`Graph.from_arrays` does for edges.
+        a probability outside [0, 1] (NaN included), then for a pair out of
+        range, a self-loop or a repeated pair, as :meth:`Graph.from_arrays`
+        does for edges.
         """
-        g = Graph.from_arrays(n, u, v, w)
-        if not np.all((g.edge_w >= 0.0) & (g.edge_w <= 1.0)):
+        w = np.asarray(w, dtype=np.float64)
+        if not np.all((w >= 0.0) & (w <= 1.0)):
             raise ValueError("probabilities must lie in [0, 1]")
+        g = Graph.from_arrays(n, u, v, w)
         soft = cls.__new__(cls)
         soft._set(n, g.edge_u, g.edge_v, g.edge_w)
         return soft
@@ -153,6 +155,10 @@ def train_predictor(
     weight-decay pull. Stopping follows the same best-loss window as the
     solver (:func:`cograd.gnn.descend`). Deterministic for a fixed config.
 
+    As in :func:`cograd.gnn.train`, the parameters and their gradient each
+    live in one flat buffer, and every epoch writes into buffers allocated
+    once per call.
+
     Raises
     ------
     ValueError
@@ -163,8 +169,7 @@ def train_predictor(
     og = sample.observed_graph
     if og.m == 0:
         raise ValueError("cannot train a predictor: the observed graph has no edges")
-    kg = known_graph(sample, full_n)
-    a_known = renormalized_adjacency(kg)
+    a_known = renormalized_adjacency(known_graph(sample, full_n))
     d_in, d_z = default_dims(full_n)
     if cfg.d0 is not None:
         d_in = cfg.d0
@@ -172,64 +177,79 @@ def train_predictor(
         d_z = cfg.d1
 
     rng = np.random.default_rng(cfg.seed)
-    params = PredictorParams(
-        embed=rng.normal(0.0, 1.0 / np.sqrt(d_in), (full_n, d_in)),
-        w=rng.normal(0.0, 1.0 / np.sqrt(d_in), (d_in, d_z)),
-    )
+    shapes = [(full_n, d_in), (d_in, d_z)]
+    flat, (embed, w) = _draw_normal(rng, shapes, [1.0 / np.sqrt(d_in)] * 2)
+    params = PredictorParams(embed=embed, w=w)
 
     kept = sample.kept_nodes
-    pos_u = kept[og.edge_u]
-    pos_v = kept[og.edge_v]
-    k = og.n
+    m, k = og.m, og.n
     # canonical keys of observed edges, in observed index space (ascending)
     edge_keys = og.edge_u * k + og.edge_v
-    n_free_pairs = k * (k - 1) // 2 - og.m
-    if n_free_pairs > 0:
-        y = np.concatenate([np.ones(og.m), np.zeros(og.m)])
-    else:
-        y = np.ones(og.m)
-
+    n_neg = m if k * (k - 1) // 2 - m > 0 else 0
+    n_pairs = m + n_neg
+    # ends[0] and ends[1] hold the scored pairs' first and second ends, the
+    # observed edges before the negatives; ends.ravel() is the scatter's
+    # input order. z is gathered at the ends in swapped order, so that
+    # scaling the gathered rows by ds gives the rows the scatter adds.
+    ends = np.empty((2, n_pairs), dtype=np.int64)
+    ends[0, :m] = kept[og.edge_u]
+    ends[1, :m] = kept[og.edge_v]
+    swapped = ends[::-1].copy()
+    neg_obs = np.empty((2, n_neg), dtype=np.int64)
+    y = np.concatenate([np.ones(m), np.zeros(n_neg)])
     unobs = np.setdiff1d(np.arange(full_n), kept)
 
+    m_in = np.empty((full_n, d_in))
+    z = np.empty((full_n, d_z))
+    z_ends = np.empty((2, n_pairs, d_z))
+    z_v, z_u = z_ends
+    prod = np.empty((n_pairs, d_z))
+    s = np.empty(n_pairs)
+    terms = np.empty(n_pairs)
+    ds = np.empty(n_pairs)
+    dz = np.empty((full_n, d_z))
+    dm = np.empty((full_n, d_in))
+    grad, (dembed, dw) = _carve(shapes)
+
     def evaluate():
-        if n_free_pairs > 0:
-            neg_u, neg_v = _sample_non_edges(rng, k, og.m, edge_keys)
-            u = np.concatenate([pos_u, kept[neg_u]])
-            v = np.concatenate([pos_v, kept[neg_v]])
-        else:
-            u, v = pos_u, pos_v
+        if n_neg:
+            _sample_non_edges(rng, k, edge_keys, neg_obs)
+            np.take(kept, neg_obs, out=ends[:, m:])
+            np.copyto(swapped[:, m:], ends[::-1, m:])
+        _spmm(a_known, embed, m_in)
+        np.matmul(m_in, w, out=z)
+        np.take(z, swapped, axis=0, out=z_ends)
+        np.multiply(z_u, z_v, out=prod)
+        np.sum(prod, axis=1, out=s)
+        expit(s, out=s)
+        np.clip(s, _S_EPS, 1.0 - _S_EPS, out=s)
+        # y log s + (1 - y) log(1 - s) at y in {0, 1}: the other term is a
+        # signed zero (s is clipped inside (0, 1)), which adds nothing
+        np.log(s[:m], out=terms[:m])
+        np.subtract(1.0, s[m:], out=terms[m:])
+        np.log(terms[m:], out=terms[m:])
+        return float(-np.mean(terms)), gradient
 
-        m_in = a_known @ params.embed
-        z = m_in @ params.w
-        s = np.clip(expit(np.sum(z[u] * z[v], axis=1)), _S_EPS, 1.0 - _S_EPS)
-        loss = float(-np.mean(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)))
+    def gradient():
+        np.subtract(s, y, out=ds)
+        np.divide(ds, n_pairs, out=ds)
+        np.multiply(z_ends, ds[:, None], out=z_ends)
+        _scatter_rows(ends.ravel(), z_ends.reshape(2 * n_pairs, d_z), dz)
+        np.matmul(m_in.T, dz, out=dw)
+        np.matmul(dz, w.T, out=dm)
+        _spmm(a_known, dm, dembed)
+        dembed[unobs] += _WEIGHT_DECAY * embed[unobs]
+        return grad
 
-        def grads():
-            ds = (s - y) / len(y)
-            dz = _scatter_rows(
-                np.concatenate([u, v]),
-                np.concatenate([ds[:, None] * z[v], ds[:, None] * z[u]]),
-                full_n,
-            )
-            dw = m_in.T @ dz
-            dm = dz @ params.w.T
-            dembed = a_known @ dm
-            dembed[unobs] += _WEIGHT_DECAY * params.embed[unobs]
-            return [dembed, dw]
-
-        return loss, grads
-
-    descend([params.embed, params.w], evaluate, cfg)
+    descend(flat, evaluate, cfg)
     return params
 
 
-def _scatter_rows(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+def _scatter_rows(index: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
     """out[index[i]] += rows[i] for each i in order, from zeros: the sums of
     ``np.add.at(out, index, rows)``, bit for bit, one bincount per column."""
-    out = np.empty((n, rows.shape[1]))
     for c, col in enumerate(rows.T):
-        out[:, c] = np.bincount(index, weights=col, minlength=n)
-    return out
+        out[:, c] = np.bincount(index, weights=col, minlength=len(out))
 
 
 def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -240,11 +260,12 @@ def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
 
 
-def _sample_non_edges(rng, k: int, count: int, edge_keys: np.ndarray):
-    """Uniform observed-index pairs (u < v) that are not observed edges;
-    ``edge_keys`` (u * k + v of the observed edges) must be ascending."""
-    out_u = np.empty(count, dtype=np.int64)
-    out_v = np.empty(count, dtype=np.int64)
+def _sample_non_edges(rng, k: int, edge_keys: np.ndarray, out: np.ndarray) -> None:
+    """Fill the (2, count) array ``out`` with uniform observed-index pairs
+    (u < v) that are not observed edges; ``edge_keys`` (u * k + v of the
+    observed edges) must be ascending."""
+    out_u, out_v = out
+    count = out.shape[1]
     got = 0
     while got < count:
         cand = rng.integers(0, k, size=(2, count - got))
@@ -255,7 +276,6 @@ def _sample_non_edges(rng, k: int, count: int, edge_keys: np.ndarray):
         out_u[got : got + take] = u[ok]
         out_v[got : got + take] = v[ok]
         got += take
-    return out_u, out_v
 
 
 def _partner_budget(m_obs: int, k_obs: int, n: int) -> int:

@@ -56,6 +56,11 @@ _SOFT_EDGE_CUTOFF = 1e-3
 _MULTILINEAR_LIMIT = 16
 
 
+def _check_lam(lam: float) -> None:
+    if not 0.0 <= lam < np.inf:
+        raise ValueError("lambda coefficient must be nonnegative and finite")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """End-to-end run settings.
@@ -79,8 +84,7 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0.0 < self.observe_fraction <= 1.0:
             raise ValueError("observe_fraction must be in (0, 1]")
-        if not 0.0 <= self.lam < np.inf:
-            raise ValueError("lambda coefficient must be nonnegative and finite")
+        _check_lam(self.lam)
         _check_penalty(ProblemKind(self.kind), self.penalty)
 
 
@@ -141,9 +145,8 @@ def combined_loss(
     p, q_pred: QuboMatrix, recon_bce: float, lam: float
 ) -> float:
     """Relaxed energy on the predicted QUBO plus lam times the predictor's
-    reconstruction loss."""
-    if lam < 0.0:
-        raise ValueError("lambda coefficient must be nonnegative")
+    reconstruction loss; lam must be nonnegative and finite."""
+    _check_lam(lam)
     return eval_hamiltonian(q_pred, np.asarray(p)) + lam * recon_bce
 
 

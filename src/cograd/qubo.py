@@ -143,14 +143,25 @@ class QuboMatrix:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"assignment has shape {x.shape}, expected ({self.n},)")
-        return float(x @ (self._offdiag @ x) + self._diag @ x + self.offset)
+        return self._energy(x, self._offdiag @ x)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """dH/dx = 2 * Q_offdiag @ x + diag."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"assignment has shape {x.shape}, expected ({self.n},)")
-        return 2.0 * (self._offdiag @ x) + self._diag
+        return self._energy_gradient(self._offdiag @ x)
+
+    def _energy(self, x: np.ndarray, qx: np.ndarray) -> float:
+        """H(x) from x and qx = Q_offdiag @ x."""
+        return float(x @ qx + self._diag @ x + self.offset)
+
+    def _energy_gradient(
+        self, qx: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """dH/dx = 2 * qx + diag from qx = Q_offdiag @ x, into ``out`` if given."""
+        out = np.multiply(2.0, qx, out=out)
+        return np.add(out, self._diag, out=out)
 
     def __repr__(self) -> str:
         nnz = len(self._diag_nodes) + self._offdiag.nnz // 2

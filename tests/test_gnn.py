@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cograd.graph import (
     Graph,
@@ -16,6 +17,7 @@ from cograd.gnn import (
     TrainConfig,
     TrainingDivergedError,
     _Workspace,
+    _spmm,
     backward,
     default_dims,
     export_loss_trace,
@@ -250,10 +252,13 @@ def _reference_train(g, q, cfg):
 
 
 @pytest.mark.parametrize("kind", list(ProblemKind))
-@pytest.mark.parametrize("graph", ["regular", "isolated"])
+@pytest.mark.parametrize("graph", ["regular", "isolated", "large"])
 def test_train_bit_identical_to_reference_loop(kind, graph):
     if graph == "regular":
         g = generate_d_regular(40, 3, seed=2)
+    elif graph == "large":
+        g = generate_d_regular(300, 3, seed=5)
+        assert default_dims(g.n)[0] == 17
     else:
         g = Graph(12, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)])
     q = build_qubo(kind, g)
@@ -262,6 +267,87 @@ def test_train_bit_identical_to_reference_loop(kind, graph):
     p_ref, tr_ref = _reference_train(g, q, cfg)
     assert np.array_equal(np.asarray(sa), p_ref)
     assert tr == tr_ref
+
+
+def _csr_cases():
+    rng = np.random.default_rng(8)
+    g = generate_erdos_renyi(30, 0.1, seed=1)
+    a = renormalized_adjacency(g)
+    assert a.indices.dtype == np.int32
+    wide = sp.csr_array(
+        (a.data, a.indices.astype(np.int64), a.indptr.astype(np.int64)), shape=a.shape
+    )
+    # rows 1 and 3 hold no entries
+    holes = sp.csr_array(rng.normal(size=(5, 4)) * (np.arange(5) % 2 == 0)[:, None])
+    yield a
+    yield wide
+    yield holes
+    yield sp.csr_array((0, 0))
+    yield sp.csr_array((1, 1))
+    yield sp.csr_array(np.array([[2.5]]))
+    yield sp.csr_array((3, 0))
+
+
+@pytest.mark.parametrize("a", list(_csr_cases()))
+@pytest.mark.parametrize("cols", [None, 1, 2, 7])
+def test_spmm_byte_equal_to_sparse_product(a, cols):
+    rng = np.random.default_rng(3)
+    shape = (a.shape[1],) if cols is None else (a.shape[1], cols)
+    x = rng.normal(size=shape)
+    want = a @ x
+    out = np.full(want.shape, np.nan)
+    got = _spmm(a, x, out)
+    assert got is out
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_spmm_rejects_mismatched_buffers():
+    a = renormalized_adjacency(generate_erdos_renyi(6, 0.5, seed=0))
+    x = np.ones((6, 3))
+    for out in (np.empty((6, 2)), np.empty((5, 3)), np.empty((6, 3), dtype=np.float32),
+                np.empty((3, 6)).T):
+        with pytest.raises(ValueError):
+            _spmm(a, x, out)
+    with pytest.raises(ValueError):
+        _spmm(a, np.ones((5, 3)), np.empty((6, 3)))
+    with pytest.raises(ValueError):
+        _spmm(a, np.ones((6, 3, 1)), np.empty((6, 3, 1)))
+    with pytest.raises(ValueError):
+        _spmm(a.tocsc(), x, np.empty((6, 3)))
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_workspace_energy_and_gradient_byte_equal_to_qubo(kind):
+    g = generate_erdos_renyi(25, 0.2, seed=6)
+    q = build_qubo(kind, g)
+    other = build_qubo(ProblemKind.MAXCUT, generate_erdos_renyi(25, 0.3, seed=7))
+    a_hat = renormalized_adjacency(g)
+    params = init_params(25, 5, 3, seed=6)
+    ws = _Workspace(25, 5, 3)
+    p = ws.forward(params, a_hat)
+    assert ws.energy(q) == q.value(p)
+    assert q._energy_gradient(ws.qp).tobytes() == q.gradient(p).tobytes()
+    want = backward(params, a_hat, q).arrays()
+    got = ws.backward(params, a_hat, q)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+    # the kept product belongs to q: another QUBO's gradient recomputes it
+    ws.energy(q)
+    got = ws.backward(params, a_hat, other)
+    want = backward(params, a_hat, other).arrays()
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+
+def test_init_params_fill_one_buffer():
+    params = init_params(9, 4, 3, seed=2)
+    rng = np.random.default_rng(2)
+    want = [rng.normal(0.0, 0.5, (9, 4)), rng.normal(0.0, 0.5, (4, 3)),
+            rng.normal(0.0, 1.0 / np.sqrt(3), (3, 1))]
+    base = params.h0.base
+    for x, y in zip(params.arrays(), want):
+        assert x.tobytes() == y.tobytes()
+        assert x.base is base and x.flags.c_contiguous
+    assert base.shape == (9 * 4 + 4 * 3 + 3,)
 
 
 def test_train_deterministic_and_best_monotone():

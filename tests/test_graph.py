@@ -310,6 +310,26 @@ def test_index_beyond_int64_is_out_of_range(n, edges, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (2, [(0, 1, float("nan"))], "edge (0,1) weight must be finite, got nan"),
+        (3, [(0, 1, 1.0), (2, 1, float("inf")), (0, 2, float("nan"))],
+         "edge (2,1) weight must be finite, got inf"),
+        (4, [(3, 2, -float("inf")), (0, 1, 1.0)], "edge (3,2) weight must be finite, got -inf"),
+    ],
+)
+def test_constructors_reject_non_finite_weight(n, edges, message):
+    with pytest.raises(ValueError) as err:
+        Graph(n, edges)
+    assert str(err.value) == message
+    cols = list(zip(*edges))
+    for arrays in (cols, [np.array(c) for c in cols]):
+        with pytest.raises(ValueError) as err:
+            Graph.from_arrays(n, *arrays)
+        assert str(err.value) == message
+
+
 def test_from_arrays_rejects_ragged_arrays():
     with pytest.raises(ValueError, match="equal length"):
         Graph.from_arrays(3, [0, 1], [1, 2], [1.0])

@@ -241,11 +241,15 @@ def _reference_train_predictor(sample, full_n, cfg):
     return params
 
 
-@pytest.mark.parametrize("case", ["partial", "complete", "padded"])
+@pytest.mark.parametrize("case", ["partial", "complete", "padded", "larger"])
 def test_train_predictor_bit_identical_to_reference_loop(case):
     if case == "partial":
         g, s = _sample(n=40, p=0.2, frac=0.7)
         full_n = g.n
+    elif case == "larger":
+        g = generate_d_regular(150, 3, seed=4)
+        s = sample_observed_subgraph(g, 0.8, seed=4)
+        full_n = g.n + 9
     elif case == "complete":
         # every observed pair is an edge: no negatives to draw
         g = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
@@ -318,6 +322,12 @@ def test_soft_adjacency_from_pairs_matches_dense_constructor():
 def test_soft_adjacency_from_pairs_validation(u, v, w, fragment):
     with pytest.raises(ValueError, match=fragment):
         SoftAdjacency.from_pairs(3, u, v, w)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_soft_adjacency_from_pairs_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        SoftAdjacency.from_pairs(4, [0, 1, 2], [1, 2, 3], [0.5, bad, 0.5])
 
 
 def _budget(sample, full_n):

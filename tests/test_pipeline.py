@@ -162,6 +162,13 @@ def test_combined_loss_function():
         combined_loss(p, q, 0.4, -1.0)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_combined_loss_rejects_non_finite_lambda(lam):
+    q = build_qubo(ProblemKind.MAXCUT, Graph(2, [(0, 1)]))
+    with pytest.raises(ValueError, match="lambda .* finite"):
+        combined_loss(np.array([0.25, 0.75]), q, 0.4, lam)
+
+
 def test_soft_adjacency_graph_cutoff():
     probs = np.zeros((3, 3))
     probs[0, 1] = probs[1, 0] = 0.9

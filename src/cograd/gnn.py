@@ -11,11 +11,12 @@ epoch writes into it, as :class:`Adam` does into its own moment and scratch
 arrays: at large n the epoch is otherwise bound by allocating and faulting
 in fresh n x d temporaries, and at small n by the Python dispatch around
 each operation. So that Adam steps one array, the parameters live in one
-flat buffer and the workspace's gradients in another; the tensors of
-:class:`GcnParams` and the gradient tensors are views into them, filled in
-place as they are drawn. The relaxed energy and dH/dp share one product
-Q_offdiag p per epoch. The public :func:`forward` and :func:`backward` run
-the same kernel on a fresh workspace, so they return new arrays.
+flat buffer and the workspace's gradients in another: the tensors of
+:class:`GcnParams` are views into the first, each filled in place as it is
+drawn, and the gradient tensors views into the second. The relaxed energy
+and dH/dp share one product Q_offdiag p per epoch. The public
+:func:`forward` and :func:`backward` run the same kernel on a fresh
+workspace, so they return new arrays.
 
 The sparse products go through :func:`_spmm`, which writes ``a @ x`` into a
 workspace buffer by calling the compiled kernel that scipy's ``@`` calls.

@@ -26,6 +26,27 @@ that does not shrink with n. The kernel (``csr_matvec`` and
 ``csr_matvecs`` in ``scipy.sparse._sparsetools``) is private to scipy, so
 :func:`_spmm` stays private here and a test pins it, byte for byte, to
 ``a @ x``.
+
+Precision. :func:`train` runs the n x d part of every epoch in float32, as
+in mixed-precision training (Micikevicius et al., ICLR 2018): Â, cast once
+per call, the parameters (:func:`init_params`' float64 draws, each rounded
+once), the workspace's n x d buffers, the gradients and Adam's moments.
+That part is most of the memory traffic of an epoch, and halving its width
+about halves the epoch at large n. The n-vector tail stays float64: z2 is
+widened before the sigmoid, so p, Q_offdiag p, the energy H(p) and
+dH/dp p (1 - p) are float64, and only that last vector is rounded, once,
+into the float32 column that starts the backward pass. The loss trace,
+the patience window, the divergence check and the returned probabilities
+are therefore float64, and every decision is taken on float64 numbers.
+This is safe because nothing the descent decides hangs on the low digits
+of the n x d work: Â keeps about 7 significant digits, the parameters
+are a random start that Adam moves by steps of about the learning rate,
+and the sign-normalised Adam step does not depend on a gradient's last
+digits. A test holds :func:`train` to the float64 public :func:`forward`
+and :func:`backward` loop: the same epochs, stop reasons and repaired
+decisions, with p within 1e-4. The public :func:`forward` and
+:func:`backward` stay float64, because the finite-difference gradient
+checks need that precision.
 """
 
 from __future__ import annotations
@@ -48,6 +69,7 @@ __all__ = [
     "SoftAssignment",
     "TrainConfig",
     "TrainingDivergedError",
+    "LossTrace",
     "Adam",
     "default_dims",
     "init_params",
@@ -161,9 +183,11 @@ def _gcn_shapes(n: int, d0: int, d1: int) -> list[tuple[int, int]]:
     return [(n, d0), (d0, d1), (d1, 1)]
 
 
-def _carve(shapes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, list[np.ndarray]]:
+def _carve(
+    shapes: Sequence[tuple[int, ...]], dtype: type = np.float64
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """A new flat buffer and its consecutive C-ordered views, one per shape."""
-    flat = np.empty(sum(math.prod(shape) for shape in shapes))
+    flat = np.empty(sum(math.prod(shape) for shape in shapes), dtype)
     views, at = [], 0
     for shape in shapes:
         size = math.prod(shape)
@@ -193,16 +217,18 @@ def _draw_normal(
 def _spmm(a: sp.csr_array, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``a @ x`` written into ``out``, which it returns, bit for bit.
 
-    ``a`` is a float64 CSR matrix; ``x`` is a float64 vector or matrix with
-    as many rows as ``a`` has columns; ``out`` is a C-contiguous float64
-    array of the product's shape. As in scipy's dispatch, a vector or a
-    single column goes through ``csr_matvec`` and a wider matrix through
-    ``csr_matvecs``; both add into ``out``, which is zeroed first.
+    ``a`` is a CSR matrix; ``x`` is a vector or matrix with as many rows as
+    ``a`` has columns; ``out`` is a C-contiguous array of the product's
+    shape. All three are float64, or all three float32. As in scipy's
+    dispatch, a vector or a single column goes through ``csr_matvec`` and a
+    wider matrix through ``csr_matvecs``; both add into ``out``, which is
+    zeroed first.
     """
     m, n = a.shape
     if not (
         a.format == "csr"
-        and a.dtype == x.dtype == out.dtype == np.float64
+        and a.dtype == x.dtype == out.dtype
+        and out.dtype in (np.float32, np.float64)
         and 1 <= x.ndim <= 2
         and x.shape[0] == n
         and out.shape == (m,) + x.shape[1:]
@@ -245,26 +271,35 @@ class _Workspace:
     buffer ``grad``, in the order of :func:`init_params`, overwritten by its
     next call. Without ``grads`` only the forward buffers exist, so a lone
     forward pass touches no more fresh memory than it uses.
+
+    The n x d buffers and the gradients have ``dtype``, which must be the
+    dtype of Â and of the parameters; the n-vectors from the sigmoid on
+    (p, Q_offdiag p, dH/dp) are float64 whatever ``dtype`` is.
     """
 
-    def __init__(self, n: int, d0: int, d1: int, *, grads: bool = True):
-        self.p0 = np.empty((n, d0))
-        self.h1 = np.empty((n, d1))
-        self.p1 = np.empty((n, d1))
-        self.z2 = np.empty((n, 1))
+    def __init__(
+        self, n: int, d0: int, d1: int, *, grads: bool = True, dtype: type = np.float64
+    ):
+        self.p0 = np.empty((n, d0), dtype)
+        self.h1 = np.empty((n, d1), dtype)
+        self.p1 = np.empty((n, d1), dtype)
+        self.z2 = np.empty((n, 1), dtype)
         self.p = np.empty(n)
         if not grads:
             return
         # Q_offdiag p, and the QUBO it belongs to while p is unchanged
         self.qp = np.empty(n)
         self.qp_of = None
-        self.dz2 = np.empty((n, 1))
+        self.dp = np.empty(n)
         self.one_minus_p = np.empty(n)
-        self.dp1 = np.empty((n, d1))
-        self.dh1 = np.empty((n, d1))
+        self.dz2 = np.empty((n, 1), dtype)
+        self.dp1 = np.empty((n, d1), dtype)
+        self.dh1 = np.empty((n, d1), dtype)
         self.relu_mask = np.empty((n, d1), dtype=bool)
-        self.dp0 = np.empty((n, d0))
-        self.grad, (self.dh0, self.dw0, self.dw1) = _carve(_gcn_shapes(n, d0, d1))
+        self.dp0 = np.empty((n, d0), dtype)
+        self.grad, (self.dh0, self.dw0, self.dw1) = _carve(
+            _gcn_shapes(n, d0, d1), dtype
+        )
 
     def forward(self, params: GcnParams, a_hat: sp.csr_array) -> np.ndarray:
         """p = sigmoid(Â relu(Â h0 w0) w1) into ``self.p``, which it returns."""
@@ -274,7 +309,7 @@ class _Workspace:
         np.maximum(self.h1, 0.0, out=self.h1)
         _spmm(a_hat, self.h1, self.p1)
         np.matmul(self.p1, params.w1, out=self.z2)
-        expit(self.z2[:, 0], out=self.p)
+        expit(self.z2[:, 0], out=self.p, dtype=np.float64)
         return np.clip(self.p, _P_EPS, 1.0 - _P_EPS, out=self.p)
 
     def energy(self, q: QuboMatrix) -> float:
@@ -288,13 +323,14 @@ class _Workspace:
         self, params: GcnParams, a_hat: sp.csr_array, q: QuboMatrix
     ) -> list[np.ndarray]:
         """Gradients [dh0, dw0, dw1] at the last :meth:`forward` of params."""
-        p, dz2 = self.p, self.dz2[:, 0]
+        p, dp = self.p, self.dp
         if self.qp_of is not q:
             _spmm(q._offdiag, p, self.qp)
-        q._energy_gradient(self.qp, out=dz2)
-        dz2 *= p
+        q._energy_gradient(self.qp, out=dp)
+        dp *= p
         np.subtract(1.0, p, out=self.one_minus_p)
-        dz2 *= self.one_minus_p
+        # dz2 = dH/dp p (1 - p), computed in float64 and stored in dtype
+        np.multiply(dp, self.one_minus_p, out=self.dz2[:, 0])
         np.matmul(self.p1.T, self.dz2, out=self.dw1)
         np.matmul(self.dz2, params.w1.T, out=self.dp1)
         _spmm(a_hat, self.dp1, self.dh1)
@@ -333,6 +369,14 @@ def backward(params: GcnParams, a_hat: sp.csr_array, q: QuboMatrix) -> GcnParams
     ws = _Workspace(*params.h0.shape, params.w0.shape[1])
     ws.forward(params, a_hat)
     return GcnParams(*ws.backward(params, a_hat, q))
+
+
+class LossTrace(list):
+    """The (epoch, loss, best_loss) rows of a descent, epochs starting at 1,
+    and why it stopped: ``"patience"`` when the best loss stalled over the
+    patience window, ``"max_epochs"`` when the epoch budget ran out."""
+
+    stop_reason: str | None = None
 
 
 class Adam:
@@ -386,7 +430,7 @@ def descend(
     evaluate: Callable[[], tuple[float, Callable[[], np.ndarray]]],
     cfg: TrainConfig,
     on_best: Callable[[], None] | None = None,
-) -> list[tuple[int, float, float]]:
+) -> LossTrace:
     """Adam on the flat array ``params``, in place, under the best-loss
     patience window.
 
@@ -396,7 +440,8 @@ def descend(
     ``on_best`` runs whenever the best loss improves. Stops at max_epochs or
     once the best loss gained less than ``tolerance`` over the last
     ``patience`` epochs (a window, so slow steady descent keeps going).
-    Returns the (epoch, loss, best_loss) trace, epochs starting at 1.
+    Returns the (epoch, loss, best_loss) trace, epochs starting at 1, with
+    its stop reason.
 
     Raises
     ------
@@ -405,7 +450,8 @@ def descend(
     """
     opt = Adam(cfg.learning_rate)
     best_loss = np.inf
-    trace: list[tuple[int, float, float]] = []
+    trace = LossTrace()
+    trace.stop_reason = "max_epochs"
     # non-finite arithmetic is caught by the loss guard, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.max_epochs + 1):
@@ -422,6 +468,7 @@ def descend(
                 and trace[epoch - 1 - cfg.patience][2] - best_loss
                 < cfg.tolerance
             ):
+                trace.stop_reason = "patience"
                 break
             opt.step([params], [grad()])
     return trace
@@ -432,13 +479,15 @@ def train(
     q: QuboMatrix,
     cfg: TrainConfig,
     loss_offset: float = 0.0,
-) -> tuple[SoftAssignment, list[tuple[int, float, float]]]:
+) -> tuple[SoftAssignment, LossTrace]:
     """Descend the relaxed energy; return the best soft assignment seen.
 
-    The loss trace holds (epoch, loss, best_loss) rows, epochs starting at 1.
-    ``loss_offset`` is a constant added to every reported loss (used when the
-    training objective carries a frozen auxiliary term); it shifts the trace
-    without changing any descent decision. Stopping follows :func:`descend`.
+    The loss trace holds (epoch, loss, best_loss) rows, epochs starting at 1,
+    and the stop reason. ``loss_offset`` is a constant added to every
+    reported loss (used when the training objective carries a frozen
+    auxiliary term); it shifts the trace without changing any descent
+    decision. Stopping follows :func:`descend`. The epoch runs in mixed
+    precision (see the module docstring); losses and p are float64.
 
     Raises
     ------
@@ -447,14 +496,17 @@ def train(
     """
     if g.n != q.n:
         raise ValueError(f"graph has {g.n} nodes but QUBO dimension is {q.n}")
-    a_hat = renormalized_adjacency(g)
+    a_hat = renormalized_adjacency(g).astype(np.float32)
     d0, d1 = default_dims(g.n)
     if cfg.d0 is not None:
         d0 = cfg.d0
     if cfg.d1 is not None:
         d1 = cfg.d1
-    flat, params = _init_flat(g.n, d0, d1, cfg.seed)
-    ws = _Workspace(g.n, d0, d1)
+    # init_params' float64 draws, each rounded once to float32
+    flat, views = _carve(_gcn_shapes(g.n, d0, d1), np.float32)
+    flat[:] = _init_flat(g.n, d0, d1, cfg.seed)[0]
+    params = GcnParams(*views)
+    ws = _Workspace(g.n, d0, d1, dtype=np.float32)
     best_p = np.empty(g.n)
 
     def evaluate():
@@ -492,9 +544,19 @@ def project_and_repair(
 
     With ``polish`` the result is refined by 1-flip first-improvement local
     search. The output is always feasible.
+
+    Raises
+    ------
+    ValueError
+        If p is not a vector of g.n probabilities or holds a NaN.
     """
     kind = ProblemKind(kind)
-    x = (np.asarray(p, dtype=np.float64) >= 0.5).astype(np.int64)
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != (g.n,):
+        raise ValueError(f"p has shape {p.shape}, expected ({g.n},)")
+    if np.isnan(p).any():
+        raise ValueError("p holds NaN")
+    x = (p >= 0.5).astype(np.int64)
     if kind is ProblemKind.MIS:
         for u, v in zip(g.edge_u, g.edge_v):
             if x[u] == 1 and x[v] == 1:

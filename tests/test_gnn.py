@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import expit
 
 from cograd.graph import (
     Graph,
@@ -16,6 +17,7 @@ from cograd.gnn import (
     SoftAssignment,
     TrainConfig,
     TrainingDivergedError,
+    _P_EPS,
     _Workspace,
     _spmm,
     backward,
@@ -230,13 +232,13 @@ def test_forward_backward_return_fresh_arrays():
 
 
 def _reference_train(g, q, cfg):
-    """train() as a plain loop: public forward/backward, textbook Adam and
-    the best-loss patience window, every array out of place."""
+    """train() in float64 as a plain loop: public forward/backward, textbook
+    Adam and the best-loss patience window, every array out of place."""
     a_hat = renormalized_adjacency(g)
     params = init_params(g.n, *default_dims(g.n), cfg.seed)
     m = [np.zeros_like(x) for x in params.arrays()]
     v = [np.zeros_like(x) for x in params.arrays()]
-    best_loss, best_p, trace = np.inf, None, []
+    best_loss, best_p, trace, stop = np.inf, None, [], "max_epochs"
     for epoch in range(1, cfg.max_epochs + 1):
         p = np.asarray(forward(params, a_hat))
         loss = relaxed_loss(p, q)
@@ -245,15 +247,47 @@ def _reference_train(g, q, cfg):
         trace.append((epoch, loss, best_loss))
         if (epoch > cfg.patience
                 and trace[epoch - 1 - cfg.patience][2] - best_loss < cfg.tolerance):
+            stop = "patience"
             break
         grads = backward(params, a_hat, q).arrays()
         _textbook_adam_step(params.arrays(), grads, m, v, epoch, cfg.learning_rate)
-    return best_p, trace
+    return best_p, trace, stop
 
 
-@pytest.mark.parametrize("kind", list(ProblemKind))
-@pytest.mark.parametrize("graph", ["regular", "isolated", "large"])
-def test_train_bit_identical_to_reference_loop(kind, graph):
+def _reference_train_f32(g, q, cfg):
+    """train()'s mixed precision as a plain loop, every array out of place:
+    Â, the parameters, the n x d products, the gradients and Adam in
+    float32; p, the loss and dH/dp p (1 - p) in float64."""
+    f32 = np.float32
+    a = renormalized_adjacency(g).astype(f32)
+    params = init_params(g.n, *default_dims(g.n), cfg.seed)
+    h0, w0, w1 = (x.astype(f32) for x in params.arrays())
+    m = [np.zeros_like(x) for x in (h0, w0, w1)]
+    v = [np.zeros_like(x) for x in (h0, w0, w1)]
+    best_loss, best_p, trace, stop = np.inf, None, [], "max_epochs"
+    for epoch in range(1, cfg.max_epochs + 1):
+        p0 = a @ h0
+        h1 = np.maximum(p0 @ w0, 0.0)
+        p1 = a @ h1
+        z2 = p1 @ w1
+        p = np.clip(expit(z2[:, 0].astype(np.float64)), _P_EPS, 1.0 - _P_EPS)
+        loss = relaxed_loss(p, q)
+        if loss < best_loss:
+            best_loss, best_p = loss, p.copy()
+        trace.append((epoch, loss, best_loss))
+        if (epoch > cfg.patience
+                and trace[epoch - 1 - cfg.patience][2] - best_loss < cfg.tolerance):
+            stop = "patience"
+            break
+        dz2 = (q.gradient(p) * p * (1.0 - p)).astype(f32)[:, None]
+        dz1 = (a @ (dz2 @ w1.T)) * (h1 > 0.0)
+        grads = [a @ (dz1 @ w0.T), p0.T @ dz1, p1.T @ dz2]
+        assert all(x.dtype == f32 for x in grads)
+        _textbook_adam_step([h0, w0, w1], grads, m, v, epoch, cfg.learning_rate)
+    return best_p, trace, stop
+
+
+def _train_case(kind, graph):
     if graph == "regular":
         g = generate_d_regular(40, 3, seed=2)
     elif graph == "large":
@@ -261,12 +295,38 @@ def test_train_bit_identical_to_reference_loop(kind, graph):
         assert default_dims(g.n)[0] == 17
     else:
         g = Graph(12, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)])
-    q = build_qubo(kind, g)
     cfg = TrainConfig(seed=3, max_epochs=250, patience=40, tolerance=1e-3)
+    return g, build_qubo(kind, g), cfg
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+@pytest.mark.parametrize("graph", ["regular", "isolated", "large"])
+def test_train_bit_identical_to_reference_loop(kind, graph):
+    g, q, cfg = _train_case(kind, graph)
     sa, tr = train(g, q, cfg)
-    p_ref, tr_ref = _reference_train(g, q, cfg)
+    p_ref, tr_ref, stop_ref = _reference_train_f32(g, q, cfg)
     assert np.array_equal(np.asarray(sa), p_ref)
     assert tr == tr_ref
+    assert tr.stop_reason == stop_ref
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+@pytest.mark.parametrize("graph", ["regular", "isolated", "large"])
+def test_train_float32_tracks_float64_loop(kind, graph):
+    # the float32 epoch must not change what the descent decides: how long
+    # it runs, why it stops and the repaired, polished decision
+    g, q, cfg = _train_case(kind, graph)
+    sa, tr = train(g, q, cfg)
+    p64, tr64, stop64 = _reference_train(g, q, cfg)
+    assert len(tr) == len(tr64)
+    assert tr.stop_reason == stop64
+    assert np.max(np.abs(np.asarray(sa) - p64)) <= 1e-4
+    for x, y in zip(tr, tr64):
+        assert abs(x[1] - y[1]) <= 1e-3 * max(1.0, abs(y[1]))
+    assert np.array_equal(
+        project_and_repair(kind, g, sa, polish=True),
+        project_and_repair(kind, g, p64, polish=True),
+    )
 
 
 def _csr_cases():
@@ -294,12 +354,14 @@ def test_spmm_byte_equal_to_sparse_product(a, cols):
     rng = np.random.default_rng(3)
     shape = (a.shape[1],) if cols is None else (a.shape[1], cols)
     x = rng.normal(size=shape)
-    want = a @ x
-    out = np.full(want.shape, np.nan)
-    got = _spmm(a, x, out)
-    assert got is out
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
+    for dtype in (np.float64, np.float32):
+        a, x = a.astype(dtype), x.astype(dtype)
+        want = a @ x
+        out = np.full(want.shape, np.nan, dtype)
+        got = _spmm(a, x, out)
+        assert got is out
+        assert got.shape == want.shape and got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_spmm_rejects_mismatched_buffers():
@@ -315,6 +377,23 @@ def test_spmm_rejects_mismatched_buffers():
         _spmm(a, np.ones((6, 3, 1)), np.empty((6, 3, 1)))
     with pytest.raises(ValueError):
         _spmm(a.tocsc(), x, np.empty((6, 3)))
+
+
+def test_spmm_rejects_mixed_dtypes():
+    a64 = renormalized_adjacency(generate_erdos_renyi(6, 0.5, seed=0))
+    a32 = a64.astype(np.float32)
+    for a, x, out_dtype in [
+        (a64, np.ones((6, 3), np.float32), np.float32),
+        (a32, np.ones((6, 3)), np.float64),
+        (a32, np.ones((6, 3), np.float32), np.float64),
+        (a64, np.ones(6, np.float32), np.float64),
+        (a32, np.ones(6), np.float32),
+    ]:
+        with pytest.raises(ValueError):
+            _spmm(a, x, np.empty(x.shape, out_dtype))
+    ints = sp.csr_array(np.eye(3, dtype=np.int64))
+    with pytest.raises(ValueError):
+        _spmm(ints, np.ones(3, np.int64), np.empty(3, np.int64))
 
 
 @pytest.mark.parametrize("kind", list(ProblemKind))
@@ -376,6 +455,19 @@ def test_train_patience_window_stops_on_plateau():
     assert tr[-1][2] <= -0.45
     x = project_and_repair(ProblemKind.MAXCUT, g, sa, polish=True)
     assert objective(ProblemKind.MAXCUT, g, x) == 1.0
+
+
+def test_train_records_stop_reason():
+    g = Graph(2, [(0, 1)])
+    q = build_qubo(ProblemKind.MAXCUT, g)
+    _, tr = train(g, q, TrainConfig(seed=0, patience=50))
+    assert isinstance(tr, list) and tr.stop_reason == "patience"
+    assert len(tr) < 10_000
+    _, tr = train(g, q, TrainConfig(seed=0, max_epochs=3, patience=3))
+    assert tr.stop_reason == "max_epochs" and len(tr) == 3
+    # a window that closes on the last epoch counts as patience
+    _, tr = train(g, q, TrainConfig(seed=0, max_epochs=4, patience=3, tolerance=1e9))
+    assert tr.stop_reason == "patience" and len(tr) == 4
 
 
 def test_train_loss_offset_shifts_trace_only():
@@ -466,6 +558,18 @@ def test_project_repair_always_feasible():
                 x = project_and_repair(kind, g, p, polish=polish)
                 assert is_feasible(kind, g, x)
                 assert set(np.unique(x)) <= {0, 1}
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+@pytest.mark.parametrize("polish", [False, True])
+def test_project_repair_rejects_bad_p(kind, polish):
+    g = generate_erdos_renyi(10, 0.3, seed=1)
+    nan_at_3 = np.full(10, 0.7)
+    nan_at_3[3] = np.nan
+    for p in (np.full(13, 0.7), np.full(7, 0.7), np.full(10, np.nan), nan_at_3,
+              np.full((10, 1), 0.7), np.float64(0.7)):
+        with pytest.raises(ValueError, match="p "):
+            project_and_repair(kind, g, p, polish=polish)
 
 
 def test_polish_improves_in_problem_sense():

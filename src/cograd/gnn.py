@@ -188,12 +188,17 @@ def _carve(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """A new flat buffer and its consecutive C-ordered views, one per shape."""
     flat = np.empty(sum(math.prod(shape) for shape in shapes), dtype)
+    return flat, _views(flat, shapes)
+
+
+def _views(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive C-ordered views of ``flat``, one per shape."""
     views, at = [], 0
     for shape in shapes:
         size = math.prod(shape)
         views.append(flat[at : at + size].reshape(shape))
         at += size
-    return flat, views
+    return views
 
 
 def _draw_normal(
@@ -503,9 +508,8 @@ def train(
     if cfg.d1 is not None:
         d1 = cfg.d1
     # init_params' float64 draws, each rounded once to float32
-    flat, views = _carve(_gcn_shapes(g.n, d0, d1), np.float32)
-    flat[:] = _init_flat(g.n, d0, d1, cfg.seed)[0]
-    params = GcnParams(*views)
+    flat = _init_flat(g.n, d0, d1, cfg.seed)[0].astype(np.float32)
+    params = GcnParams(*_views(flat, _gcn_shapes(g.n, d0, d1)))
     ws = _Workspace(g.n, d0, d1, dtype=np.float32)
     best_p = np.empty(g.n)
 

@@ -498,6 +498,14 @@ def test_train_rejects_dimension_mismatch():
         train(g, q, TrainConfig())
 
 
+@pytest.mark.parametrize("dims", [(0, 2), (-1, 2), (4, -3)])
+def test_train_rejects_bad_dims(dims):
+    g = generate_erdos_renyi(5, 0.5, seed=0)
+    q = build_qubo(ProblemKind.MIS, g)
+    with pytest.raises(ValueError, match="embedding dims must be at least 1"):
+        train(g, q, TrainConfig(d0=dims[0], d1=dims[1], max_epochs=2))
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(max_epochs=0)

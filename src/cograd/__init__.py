@@ -48,14 +48,12 @@ from .linkpred import (
     threshold_adjacency,
     train_predictor,
 )
+from .multilinear import CoverageModel, coverage_multilinear_grads, multilinear_value
 from .pipeline import (
-    CoverageModel,
     PipelineConfig,
     PipelineResult,
     combined_loss,
-    coverage_multilinear_grads,
     end_to_end_solve,
-    multilinear_value,
     soft_adjacency_graph,
 )
 from .qubo import (

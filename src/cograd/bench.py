@@ -96,7 +96,6 @@ class SuiteSpec:
     penalty: float = 2.0
     polish: bool = True
     observe_fraction: float = 0.8
-    lam: float = 1.0
     epochs: int | None = None
     lr: float | None = None
     d0: int | None = None
@@ -135,10 +134,10 @@ def _solver_cfg(spec: SuiteSpec, seed: int) -> TrainConfig:
 
 
 def _pipeline_cfg(spec: SuiteSpec, seed: int) -> PipelineConfig:
+    # lambda keeps its default: it only shifts losses, which no row reports
     return PipelineConfig(
         kind=spec.problem,
         observe_fraction=spec.observe_fraction,
-        lam=spec.lam,
         predictor_cfg=TrainConfig(seed=seed),
         solver_cfg=_solver_cfg(spec, seed),
         seed=seed,

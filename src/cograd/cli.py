@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import (
@@ -51,7 +52,6 @@ _SPEC_FIELDS = {
     "penalty": ("penalty", float),
     "polish": ("polish", bool),
     "observe": ("observe_fraction", float),
-    "lam": ("lam", float),
     "epochs": ("epochs", int),
     "lr": ("lr", float),
     "d0": ("d0", int),
@@ -96,11 +96,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p.add_argument("--penalty", type=float, default=2.0)
         p.add_argument("--polish", action=argparse.BooleanOptionalAction, default=True)
         if pipeline:
-            p.add_argument(
-                "--lambda", dest="lam", type=float, default=1.0,
-                help="weight of the predictor's reconstruction loss; it adds a "
-                "constant to the reported losses and changes no decision",
-            )
             p.add_argument("--observe", type=float, default=0.8)
         # embedding widths are config-file keys only
         p.set_defaults(d0=None, d1=None)
@@ -111,6 +106,11 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     dfl = sub.add_parser("dfl", help="predict the graph, then solve on it")
     solver_flags(dfl, pipeline=True)
+    dfl.add_argument(
+        "--lambda", dest="lam", type=float, default=1.0,
+        help="weight of the predictor's reconstruction loss; it adds a "
+        "constant to the reported losses and changes no decision",
+    )
     common(dfl)
 
     oracle = sub.add_parser("oracle", help="exhaustive optimum (small n)")
@@ -207,9 +207,12 @@ def _cmd_run(ns: argparse.Namespace) -> int:
     method = _METHODS[ns.command]
     seed = int(getattr(ns, "seed", 0))  # oracle takes no seed
     spec = _suite_spec(ns, (inst,), (method,), (seed,))
+    if method == "dfl-pipeline":
+        # lambda reaches only the JSON report, but is checked in every format
+        cfg = replace(_pipeline_cfg(spec, seed), lam=ns.lam)
     g = inst.load()
     if method == "dfl-pipeline" and ns.format == "json":
-        res = end_to_end_solve(g, _pipeline_cfg(spec, seed))
+        res = end_to_end_solve(g, cfg)
         data = (res.to_json() + "\n").encode()
     else:
         row = _run_row(spec, inst.name, g, method, seed, assignment=True)

@@ -103,9 +103,6 @@ class GcnParams:
     def arrays(self) -> list[np.ndarray]:
         return [self.h0, self.w0, self.w1]
 
-    def copy(self) -> "GcnParams":
-        return GcnParams(self.h0.copy(), self.w0.copy(), self.w1.copy())
-
 
 @dataclass(frozen=True)
 class SoftAssignment:
@@ -157,6 +154,13 @@ def default_dims(n: int) -> tuple[int, int]:
     d0 = min(128, max(4, int(np.floor(np.sqrt(max(n, 0)) + 0.5))))
     d1 = max(2, d0 // 2)
     return d0, d1
+
+
+def _dims(n: int, cfg: TrainConfig) -> tuple[int, int]:
+    """The embedding widths of a descent on n nodes: ``cfg.d0`` and
+    ``cfg.d1`` where set, :func:`default_dims` otherwise."""
+    d0, d1 = default_dims(n)
+    return (d0 if cfg.d0 is None else cfg.d0), (d1 if cfg.d1 is None else cfg.d1)
 
 
 def init_params(n: int, d0: int, d1: int, seed: int) -> GcnParams:
@@ -274,24 +278,19 @@ class _Workspace:
     intermediate into these arrays, so an epoch allocates nothing of size
     n x d. The gradients :meth:`backward` returns are views into the flat
     buffer ``grad``, in the order of :func:`init_params`, overwritten by its
-    next call. Without ``grads`` only the forward buffers exist, so a lone
-    forward pass touches no more fresh memory than it uses.
+    next call.
 
     The n x d buffers and the gradients have ``dtype``, which must be the
     dtype of Â and of the parameters; the n-vectors from the sigmoid on
     (p, Q_offdiag p, dH/dp) are float64 whatever ``dtype`` is.
     """
 
-    def __init__(
-        self, n: int, d0: int, d1: int, *, grads: bool = True, dtype: type = np.float64
-    ):
+    def __init__(self, n: int, d0: int, d1: int, *, dtype: type = np.float64):
         self.p0 = np.empty((n, d0), dtype)
         self.h1 = np.empty((n, d1), dtype)
         self.p1 = np.empty((n, d1), dtype)
         self.z2 = np.empty((n, 1), dtype)
         self.p = np.empty(n)
-        if not grads:
-            return
         # Q_offdiag p, and the QUBO it belongs to while p is unchanged
         self.qp = np.empty(n)
         self.qp_of = None
@@ -353,7 +352,7 @@ def forward(params: GcnParams, a_hat: sp.csr_array) -> SoftAssignment:
 
     Returns a new array on every call."""
     _check_shapes(params, a_hat)
-    ws = _Workspace(*params.h0.shape, params.w0.shape[1], grads=False)
+    ws = _Workspace(*params.h0.shape, params.w0.shape[1])
     return SoftAssignment(ws.forward(params, a_hat))
 
 
@@ -384,24 +383,23 @@ class LossTrace(list):
     stop_reason: str | None = None
 
 
+# Adam's moment decays and denominator guard: the defaults of Kingma & Ba,
+# "Adam: A Method for Stochastic Optimization" (ICLR 2015)
+_BETA1 = 0.9
+_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
+
 class Adam:
-    """Adaptive moment estimation with bias correction (decay 0.9/0.999).
+    """Adaptive moment estimation with bias correction (decays 0.9/0.999,
+    guard 1e-8).
 
     The moments and two scratch arrays per parameter are allocated on the
     first step and reused, so a step allocates nothing of parameter size.
     """
 
-    def __init__(
-        self,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
         self._state: list[tuple[np.ndarray, ...]] | None = None
 
@@ -414,19 +412,19 @@ class Adam:
         if self._state is None:
             self._state = [tuple(np.zeros_like(a) for _ in range(4)) for a in arrays]
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - _BETA1**self.t
+        c2 = 1.0 - _BETA2**self.t
         for a, g, (m, v, num, den) in zip(arrays, grads, self._state):
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=num)
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=num)
+            m *= _BETA1
+            m += np.multiply(g, 1.0 - _BETA1, out=num)
+            v *= _BETA2
+            np.multiply(g, 1.0 - _BETA2, out=num)
             v += np.multiply(num, g, out=num)
             np.divide(m, c1, out=num)
             num *= self.learning_rate
             np.divide(v, c2, out=den)
             np.sqrt(den, out=den)
-            den += self.epsilon
+            den += _ADAM_EPS
             a -= np.divide(num, den, out=num)
 
 
@@ -502,11 +500,7 @@ def train(
     if g.n != q.n:
         raise ValueError(f"graph has {g.n} nodes but QUBO dimension is {q.n}")
     a_hat = renormalized_adjacency(g).astype(np.float32)
-    d0, d1 = default_dims(g.n)
-    if cfg.d0 is not None:
-        d0 = cfg.d0
-    if cfg.d1 is not None:
-        d1 = cfg.d1
+    d0, d1 = _dims(g.n, cfg)
     # init_params' float64 draws, each rounded once to float32
     flat = _init_flat(g.n, d0, d1, cfg.seed)[0].astype(np.float32)
     params = GcnParams(*_views(flat, _gcn_shapes(g.n, d0, d1)))

@@ -203,11 +203,6 @@ class ObservedSample:
     observed_graph: Graph
     original_n: int
 
-    @property
-    def node_map(self) -> np.ndarray:
-        """Observed index -> original index (alias for ``kept_nodes``)."""
-        return self.kept_nodes
-
 
 def _check_endpoints(n: int, u: np.ndarray, v: np.ndarray) -> None:
     """Raise for a negative n, or for the first edge, in input order, that
@@ -385,15 +380,18 @@ def sample_observed_subgraph(g: Graph, fraction: float, seed: int) -> ObservedSa
     reproduces the same sample bit-for-bit. The observed edge set is exactly
     the edges of g with both endpoints kept.
 
+    An empty graph is kept whole at any fraction.
+
     Raises
     ------
     ValueError
-        If the fraction is outside (0, 1] or rounds to zero kept nodes.
+        If the fraction is outside (0, 1] or rounds to zero kept nodes of a
+        nonempty graph.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
     k = int(np.floor(fraction * g.n + 0.5))
-    if k == 0:
+    if k == 0 and g.n > 0:
         raise ValueError(f"fraction {fraction} keeps zero of {g.n} nodes")
     rng = np.random.default_rng(seed)
     kept = np.sort(rng.permutation(g.n)[:k])

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .gnn import TrainConfig, _carve, _draw_normal, _spmm, default_dims, descend
+from .gnn import TrainConfig, _carve, _dims, _draw_normal, _spmm, descend
 from .graph import Graph, ObservedSample, renormalized_adjacency
 
 __all__ = [
@@ -40,6 +40,8 @@ __all__ = [
 
 _WEIGHT_DECAY = 1e-4
 _S_EPS = 1e-12
+# predicted pairs below this probability carry no weight and are not exported
+_SOFT_EDGE_CUTOFF = 1e-3
 # entries of the score or pair arrays built at once, per block of rows
 _BLOCK = 1 << 14
 
@@ -170,11 +172,7 @@ def train_predictor(
     if og.m == 0:
         raise ValueError("cannot train a predictor: the observed graph has no edges")
     a_known = renormalized_adjacency(known_graph(sample, full_n))
-    d_in, d_z = default_dims(full_n)
-    if cfg.d0 is not None:
-        d_in = cfg.d0
-    if cfg.d1 is not None:
-        d_z = cfg.d1
+    d_in, d_z = _dims(full_n, cfg)
 
     rng = np.random.default_rng(cfg.seed)
     shapes = [(full_n, d_in), (d_in, d_z)]
@@ -407,7 +405,9 @@ def reconstruction_bce(params: PredictorParams, known: ObservedSample) -> float:
     return float(-np.mean(terms))
 
 
-def export_soft_adjacency(soft: SoftAdjacency, cutoff: float = 1e-3) -> str:
+def export_soft_adjacency(
+    soft: SoftAdjacency, cutoff: float = _SOFT_EDGE_CUTOFF
+) -> str:
     """Coordinate-list CSV ``i,j,prob`` of the stored pairs (i < j, in (i, j)
     order) with probability at least ``cutoff``, which must be positive."""
     if not cutoff > 0.0:

@@ -1,4 +1,4 @@
-"""Predict-then-optimize composition and multilinear-extension utilities.
+"""Predict-then-optimize composition.
 
 The end-to-end flow: sample a node-induced observation of the true graph,
 train the edge predictor on it, build a QUBO whose edge weights are the
@@ -9,7 +9,8 @@ predicted partners per unobserved node, about as many edges as the true
 graph has, and no stage builds an n x n array. Lambda times the
 predictor's frozen reconstruction loss is a constant: it shifts the
 solver's reported loss and ``combined_loss`` but enters no gradient, so it
-changes no decision.
+changes no decision. The multilinear-extension utilities live in
+:mod:`cograd.multilinear` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -17,18 +18,19 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .gnn import TrainConfig, project_and_repair, train
 from .graph import Graph, sample_observed_subgraph
 from .linkpred import (
+    _SOFT_EDGE_CUTOFF,
     SoftAdjacency,
     predict_adjacency,
     reconstruction_bce,
     train_predictor,
 )
+from .multilinear import CoverageModel, coverage_multilinear_grads, multilinear_value
 from .qubo import (
     BinaryAssignment,
     ProblemKind,
@@ -50,10 +52,6 @@ __all__ = [
     "multilinear_value",
     "coverage_multilinear_grads",
 ]
-
-# predicted pairs below this probability carry no weight in the QUBO
-_SOFT_EDGE_CUTOFF = 1e-3
-_MULTILINEAR_LIMIT = 16
 
 
 def _check_lam(lam: float) -> None:
@@ -119,21 +117,6 @@ class PipelineResult:
         )
 
 
-@dataclass(frozen=True)
-class CoverageModel:
-    """Coverage probabilities theta[i, j]: item i covers target j."""
-
-    theta: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.theta, dtype=np.float64)
-        if t.ndim != 2:
-            raise ValueError(f"theta must be 2-d, got shape {t.shape}")
-        if np.any(t < 0.0) or np.any(t > 1.0):
-            raise ValueError("theta entries must lie in [0, 1]")
-        object.__setattr__(self, "theta", t)
-
-
 def soft_adjacency_graph(soft: SoftAdjacency) -> Graph:
     """Weighted graph of every stored pair whose probability clears the
     cutoff."""
@@ -153,23 +136,32 @@ def combined_loss(
 def end_to_end_solve(g_true: Graph, cfg: PipelineConfig) -> PipelineResult:
     """Observe, predict, optimize on the prediction, execute on the truth.
 
-    With full observation the predicted graph collapses to the true one
-    (every pair is observed, so none is scored), so at lam = 0 the result is
-    bit-identical to the standalone solver under the same solver seed.
+    With full observation every pair is observed, so the predicted graph is
+    the true one, weights included, and at lam = 0 the result is
+    bit-identical to the standalone solver under the same solver seed. The
+    predictor is then trained only to report its reconstruction loss
+    ``l_obj``; a graph with no edge leaves it nothing to learn, so none is
+    trained and ``l_obj`` is 0.0. An empty graph counts as fully observed at
+    any fraction. A partial observation with no observed edge is a
+    ValueError raised before any training.
     """
     t0 = time.perf_counter()
     kind = ProblemKind(cfg.kind)
     sample = sample_observed_subgraph(g_true, cfg.observe_fraction, cfg.seed)
-    params = train_predictor(sample, g_true.n, cfg.predictor_cfg)
-    soft = predict_adjacency(params, sample)
-    g_pred = soft_adjacency_graph(soft)
+    partial = len(sample.kept_nodes) < g_true.n
+    l_obj = 0.0
+    if partial or g_true.m:
+        params = train_predictor(sample, g_true.n, cfg.predictor_cfg)
+        l_obj = reconstruction_bce(params, sample)
+    if partial:
+        g_pred = soft_adjacency_graph(predict_adjacency(params, sample))
+    else:
+        g_pred = g_true
     q_pred = build_qubo(kind, g_pred, cfg.penalty)
-    l_obj = reconstruction_bce(params, sample)
     soft_assignment, _trace = train(
         g_pred, q_pred, cfg.solver_cfg, loss_offset=cfg.lam * l_obj
     )
     x = project_and_repair(kind, g_true, soft_assignment, polish=cfg.polish)
-    h_qubo = eval_hamiltonian(q_pred, np.asarray(soft_assignment))
     return PipelineResult(
         assignment=x,
         problem=kind.value,
@@ -182,74 +174,7 @@ def end_to_end_solve(g_true: Graph, cfg: PipelineConfig) -> PipelineResult:
         objective_predicted=objective(kind, g_pred, x),
         feasible_true=is_feasible(kind, g_true, x),
         runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        h_qubo=h_qubo,
+        h_qubo=eval_hamiltonian(q_pred, np.asarray(soft_assignment)),
         l_obj=l_obj,
-        combined_loss=h_qubo + cfg.lam * l_obj,
+        combined_loss=combined_loss(soft_assignment, q_pred, l_obj, cfg.lam),
     )
-
-
-def multilinear_value(
-    f: Callable[[tuple[int, ...]], float], x: Sequence[float]
-) -> float:
-    """Expectation of the set function under independent Bernoulli(x_i).
-
-    F(x) = sum over subsets S of f(S) * prod_{i in S} x_i *
-    prod_{i not in S} (1 - x_i), by full enumeration. ``f`` receives the
-    subset as a sorted tuple of item indices and must satisfy f(()) = 0.
-
-    Raises
-    ------
-    ValueError
-        If there are more than 16 items or f is not normalized.
-    """
-    xa = np.asarray(x, dtype=np.float64)
-    n = len(xa)
-    if n > _MULTILINEAR_LIMIT:
-        raise ValueError(f"enumeration over {n} items exceeds {_MULTILINEAR_LIMIT}")
-    if np.any(xa < 0.0) or np.any(xa > 1.0):
-        raise ValueError("inclusion probabilities must lie in [0, 1]")
-    if f(()) != 0.0:
-        raise ValueError("set function must be normalized: f(empty) = 0")
-    total = 0.0
-    for mask in range(1 << n):
-        subset = tuple(i for i in range(n) if (mask >> i) & 1)
-        prob = 1.0
-        for i in range(n):
-            prob *= xa[i] if (mask >> i) & 1 else 1.0 - xa[i]
-        if prob != 0.0:
-            total += f(subset) * prob
-    return float(total)
-
-
-def coverage_multilinear_grads(
-    x: Sequence[float], model: CoverageModel
-) -> tuple[np.ndarray, np.ndarray]:
-    """First derivative of the coverage extension and its theta sensitivity.
-
-    For F(x, theta) = sum_j [1 - prod_i (1 - x_i theta_ij)] returns
-
-    * grad_x[i] = sum_j theta_ij * prod_{l != i} (1 - x_l theta_lj)
-    * tensor[i, k, j] = d/dtheta_kj of the j-th term of grad_x[i]:
-      -theta_ij * x_k * prod_{l != i,k} (1 - x_l theta_lj) when k != i,
-      and prod_{l != i} (1 - x_l theta_lj) when k = i.
-    """
-    xa = np.asarray(x, dtype=np.float64)
-    if np.any(xa < 0.0) or np.any(xa > 1.0):
-        raise ValueError("inclusion probabilities must lie in [0, 1]")
-    theta = model.theta
-    n, t = theta.shape
-    if len(xa) != n:
-        raise ValueError(f"x has {len(xa)} items, theta has {n}")
-    grad_x = np.zeros(n)
-    tensor = np.zeros((n, n, t))
-    for j in range(t):
-        c = 1.0 - xa * theta[:, j]
-        for i in range(n):
-            not_i = np.prod(np.delete(c, i))
-            grad_x[i] += theta[i, j] * not_i
-            tensor[i, i, j] = not_i
-            for k in range(n):
-                if k != i:
-                    not_ik = np.prod(np.delete(c, [i, k]))
-                    tensor[i, k, j] = -theta[i, j] * xa[k] * not_ik
-    return grad_x, tensor

@@ -7,6 +7,7 @@ import json
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cograd.bench as cograd_bench
@@ -19,8 +20,8 @@ from cograd.bench import (
     relative_error,
     run_suite,
 )
-from cograd.graph import Graph, write_gset
-from cograd.qubo import ProblemKind
+from cograd.graph import Graph, generate_d_regular, write_gset
+from cograd.qubo import ProblemKind, build_qubo
 from cograd.reference import GSET_BEST_KNOWN, GSET_SIZES, PUBLISHED_CUTS
 
 
@@ -232,3 +233,9 @@ def test_perfbench_harness_contract(tmp_path, monkeypatch):
     assert cograd_bench._worker_count() == 1
     st = workloads.SuiteSmall().setup(0, workloads.NULL, str(tmp_path))
     assert len(st.specs) == len(workloads.SuiteSmall.instances)
+    # the benchmark's own checks and probe run against this tree: full
+    # observation reduces to the solver, and its staged pipeline matches
+    assert workloads.guard(0) == (True, True)
+    g = generate_d_regular(20, 3, 0)
+    timings = workloads.probe(g, build_qubo(ProblemKind.MAXCUT, g), 0, reps=1)
+    assert all(np.isfinite(v) and v >= 0.0 for v in timings.values())

@@ -93,6 +93,32 @@ def test_dfl_json_schema(ring6, capsys):
     assert "combined_loss" in doc
 
 
+def test_dfl_full_observation_of_an_edgeless_graph(tmp_path, capsys):
+    path = tmp_path / "empty5.txt"
+    path.write_text("5 0\n")
+    assert main(["solve", "--problem", "mis", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["objective"] == 5.0
+    assert main(["dfl", "--problem", "mis", "--input", str(path),
+                 "--observe", "1.0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["objective_true"] == 5.0 and doc["l_obj"] == 0.0
+    # a partial observation with no edge leaves nothing to learn from
+    assert main(["dfl", "--problem", "mis", "--input", str(path)]) == 2
+    assert "no edges" in capsys.readouterr().err
+
+
+def test_lambda_is_a_dfl_flag_only(tmp_path, ring6):
+    assert main(["bench", "--problem", "maxcut", "--lambda", "0.5"]) == 1
+    cfg = tmp_path / "suite.json"
+    cfg.write_text(json.dumps({
+        "problem": "maxcut",
+        "instances": [{"name": "ring6", "path": ring6}],
+        "methods": ["dga"],
+        "lambda": 0.5,
+    }))
+    assert main(["bench", "--config", str(cfg)]) == 1
+
+
 def test_bench_with_config(tmp_path, ring6, capsys):
     cfg = tmp_path / "suite.json"
     cfg.write_text(json.dumps({
@@ -185,6 +211,7 @@ def test_non_finite_weight_is_data_error(tmp_path, capsys, command, token):
         ("dfl", ["--problem", "mvc", "--penalty", "nan"]),
         ("dfl", ["--problem", "maxcut", "--lambda", "nan"]),
         ("dfl", ["--problem", "mis", "--lambda", "inf"]),
+        ("dfl", ["--problem", "mvc", "--lambda", "nan", "--format", "csv"]),
     ],
 )
 def test_non_finite_setting_is_data_error_before_training(

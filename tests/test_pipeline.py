@@ -9,6 +9,8 @@ import pytest
 
 from scipy.special import expit
 
+import cograd
+from cograd import multilinear, pipeline
 from cograd.gnn import TrainConfig, project_and_repair, train
 from cograd.graph import (
     Graph,
@@ -91,6 +93,45 @@ def test_reduction_identity_bit_exact():
             soft, _ = train(g, q, _FAST_SOLVE)
             alone = project_and_repair(kind, g, soft, polish=True)
             assert np.array_equal(res.assignment, alone)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_full_observation_of_an_edgeless_graph_is_the_standalone_solver(kind, n):
+    # nothing to learn and nothing to predict: no predictor is trained
+    g = Graph(n)
+    res = end_to_end_solve(g, _cfg(kind, lam=0.0, seed=2))
+    soft, _ = train(g, build_qubo(kind, g), _FAST_SOLVE)
+    alone = project_and_repair(kind, g, soft, polish=True)
+    assert np.array_equal(res.assignment, alone)
+    assert res.l_obj == 0.0 and res.feasible_true
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_full_observation_keeps_weights_a_probability_cannot_hold(kind):
+    # above 1, below the soft-edge cutoff and 0: the truth is the prediction
+    g = Graph(6, [(0, 1, 2.5), (1, 2, 5e-4), (2, 3, 0.0), (3, 4, 7.0),
+                  (0, 4, 0.3), (1, 4, 1.0)])
+    res = end_to_end_solve(g, _cfg(kind, lam=0.0, seed=1))
+    soft, _ = train(g, build_qubo(kind, g), _FAST_SOLVE)
+    alone = project_and_repair(kind, g, soft, polish=True)
+    assert np.array_equal(res.assignment, alone)
+    assert res.objective_predicted == res.objective_true
+    assert res.h_qubo == eval_hamiltonian(build_qubo(kind, g), soft.p)
+
+
+def test_empty_graph_counts_as_fully_observed_at_any_fraction():
+    res = end_to_end_solve(Graph(0), _cfg(ProblemKind.MIS, observe_fraction=0.3))
+    assert res.assignment.shape == (0,) and res.objective_true == 0.0
+
+
+def test_partial_observation_without_edges_fails_before_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("cograd.pipeline.train", no_training)
+    with pytest.raises(ValueError, match="no edges"):
+        end_to_end_solve(Graph(5), _cfg(ProblemKind.MIS, observe_fraction=0.8))
 
 
 def test_k4_maxcut_full_observation():
@@ -269,6 +310,54 @@ def test_coverage_grads_match_finite_differences():
                 gm, _ = coverage_multilinear_grads(x, CoverageModel(tm))
                 fd = (gp - gm) / (2 * h)
                 assert np.max(np.abs(fd - tensor[:, k, j])) < 1e-6
+
+
+def _coverage_grads_by_deletion(x, theta):
+    """Reference: every product that leaves items out is taken over
+    np.delete of those items, O(n^2 t) products."""
+    n, t = theta.shape
+    grad_x = np.zeros(n)
+    tensor = np.zeros((n, n, t))
+    for j in range(t):
+        c = 1.0 - x * theta[:, j]
+        for i in range(n):
+            not_i = np.prod(np.delete(c, i))
+            grad_x[i] += theta[i, j] * not_i
+            tensor[i, i, j] = not_i
+            for k in range(n):
+                if k != i:
+                    not_ik = np.prod(np.delete(c, [i, k]))
+                    tensor[i, k, j] = -theta[i, j] * x[k] * not_ik
+    return grad_x, tensor
+
+
+def test_coverage_grads_match_the_deletion_reference():
+    # including zero factors, x_i = theta_ij = 1, which rule out division
+    rng = np.random.default_rng(33)
+    eps = np.finfo(np.float64).eps
+    for case in range(60):
+        n = int(rng.integers(0, 9))
+        t = int(rng.integers(1, 5))
+        theta = rng.uniform(0.0, 1.0, size=(n, t))
+        x = rng.uniform(0.0, 1.0, size=n)
+        if n and case % 2:
+            ones = rng.integers(0, n, size=2)
+            x[ones] = 1.0
+            theta[ones, rng.integers(0, t)] = 1.0
+        gx, tensor = multilinear.coverage_multilinear_grads(
+            x, multilinear.CoverageModel(theta)
+        )
+        ref_gx, ref_tensor = _coverage_grads_by_deletion(x, theta)
+        # products of up to n factors in [0, 1], summed over t targets
+        atol = 4 * (n + t) * eps
+        np.testing.assert_allclose(gx, ref_gx, rtol=0.0, atol=atol)
+        np.testing.assert_allclose(tensor, ref_tensor, rtol=0.0, atol=atol)
+
+
+def test_pipeline_re_exports_the_multilinear_utilities():
+    for name in multilinear.__all__:
+        assert getattr(pipeline, name) is getattr(multilinear, name)
+        assert getattr(cograd, name) is getattr(multilinear, name)
 
 
 def test_coverage_grads_shape_mismatch():

@@ -162,6 +162,7 @@ def end_to_end_solve(g_true: Graph, cfg: PipelineConfig) -> PipelineResult:
         g_pred, q_pred, cfg.solver_cfg, loss_offset=cfg.lam * l_obj
     )
     x = project_and_repair(kind, g_true, soft_assignment, polish=cfg.polish)
+    h_qubo = eval_hamiltonian(q_pred, np.asarray(soft_assignment))
     return PipelineResult(
         assignment=x,
         problem=kind.value,
@@ -174,7 +175,7 @@ def end_to_end_solve(g_true: Graph, cfg: PipelineConfig) -> PipelineResult:
         objective_predicted=objective(kind, g_pred, x),
         feasible_true=is_feasible(kind, g_true, x),
         runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        h_qubo=eval_hamiltonian(q_pred, np.asarray(soft_assignment)),
+        h_qubo=h_qubo,
         l_obj=l_obj,
         combined_loss=combined_loss(soft_assignment, q_pred, l_obj, cfg.lam),
     )

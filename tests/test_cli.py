@@ -108,14 +108,15 @@ def test_dfl_full_observation_of_an_edgeless_graph(tmp_path, capsys):
 
 
 def test_lambda_is_a_dfl_flag_only(tmp_path, ring6):
-    assert main(["bench", "--problem", "maxcut", "--lambda", "0.5"]) == 1
     cfg = tmp_path / "suite.json"
-    cfg.write_text(json.dumps({
+    suite = {
         "problem": "maxcut",
         "instances": [{"name": "ring6", "path": ring6}],
         "methods": ["dga"],
-        "lambda": 0.5,
-    }))
+    }
+    cfg.write_text(json.dumps(suite))
+    assert main(["bench", "--config", str(cfg), "--lambda", "0.5"]) == 1
+    cfg.write_text(json.dumps(dict(suite, **{"lambda": 0.5})))
     assert main(["bench", "--config", str(cfg)]) == 1
 
 

@@ -18,6 +18,14 @@ and dH/dp share one product Q_offdiag p per epoch. The public
 :func:`forward` and :func:`backward` run the same kernel on a fresh
 workspace, so they return new arrays.
 
+Each convolution multiplies by its weight first and by Â second, Â (h w)
+rather than (Â h) w, as PyTorch Geometric's ``GCNConv`` does: the weights
+narrow d0 to d1 to 1, so the forward pass's sparse products are d1 and 1
+columns wide. Â is symmetric, so the backward pass takes its two sparse
+products on the same narrow side, 1 and d1 columns wide, and an epoch's
+sparse work is 2 d1 + 2 columns instead of 2 d0 + 2 d1. The dense products
+cost the same in either order.
+
 The sparse products go through :func:`_spmm`, which writes ``a @ x`` into a
 workspace buffer by calling the compiled kernel that scipy's ``@`` calls.
 scipy offers no ``out=`` for a sparse-dense product, and its ``@`` pays
@@ -42,11 +50,11 @@ This is safe because nothing the descent decides hangs on the low digits
 of the n x d work: Â keeps about 7 significant digits, the parameters
 are a random start that Adam moves by steps of about the learning rate,
 and the sign-normalised Adam step does not depend on a gradient's last
-digits. A test holds :func:`train` to the float64 public :func:`forward`
-and :func:`backward` loop: the same epochs, stop reasons and repaired
-decisions, with p within 1e-4. The public :func:`forward` and
-:func:`backward` stay float64, because the finite-difference gradient
-checks need that precision.
+digits. A test holds :func:`train` to a float64 loop that multiplies by Â
+first, (Â h0) w0: the same epochs, stop reasons and repaired decisions,
+with p within 1e-4, across both the precision and the association. The
+public :func:`forward` and :func:`backward` stay float64, because the
+finite-difference gradient checks need that precision.
 """
 
 from __future__ import annotations
@@ -127,7 +135,8 @@ class SoftAssignment:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Gradient-descent schedule; embedding dims default per graph size."""
+    """Gradient-descent schedule. The embedding dims ``d0`` and ``d1`` are
+    ints of at least 1, or None for :func:`default_dims` of the graph."""
 
     max_epochs: int = 10_000
     learning_rate: float = 1e-2
@@ -146,6 +155,14 @@ class TrainConfig:
             raise ValueError("patience must be at least 1")
         if not 0 <= self.tolerance < np.inf:
             raise ValueError("tolerance must be nonnegative and finite")
+        for d in (self.d0, self.d1):
+            if d is not None and not (
+                isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
+            ):
+                raise ValueError(
+                    "embedding dims must be at least 1 and whole numbers, "
+                    f"got d0={self.d0!r}, d1={self.d1!r}"
+                )
 
 
 def default_dims(n: int) -> tuple[int, int]:
@@ -280,15 +297,22 @@ class _Workspace:
     buffer ``grad``, in the order of :func:`init_params`, overwritten by its
     next call.
 
+    Each layer multiplies by its weight before it multiplies by Â, so every
+    sparse product is d1 or 1 columns wide: forward ``t0 = h0 w0``,
+    ``z1 = Â t0`` (rectified in place into ``h1``), ``t1 = h1 w1``,
+    ``z2 = Â t1``; backward ``v = Â dz2``, ``dz1 = (v w1^T) [h1 > 0]`` and
+    ``u = Â dz1``, from which dw1 = h1^T v, dw0 = h0^T u and dh0 = u w0^T.
+    The n x d buffers are all n x d1 or n x 1.
+
     The n x d buffers and the gradients have ``dtype``, which must be the
     dtype of Â and of the parameters; the n-vectors from the sigmoid on
     (p, Q_offdiag p, dH/dp) are float64 whatever ``dtype`` is.
     """
 
     def __init__(self, n: int, d0: int, d1: int, *, dtype: type = np.float64):
-        self.p0 = np.empty((n, d0), dtype)
+        self.t0 = np.empty((n, d1), dtype)
         self.h1 = np.empty((n, d1), dtype)
-        self.p1 = np.empty((n, d1), dtype)
+        self.t1 = np.empty((n, 1), dtype)
         self.z2 = np.empty((n, 1), dtype)
         self.p = np.empty(n)
         # Q_offdiag p, and the QUBO it belongs to while p is unchanged
@@ -297,10 +321,10 @@ class _Workspace:
         self.dp = np.empty(n)
         self.one_minus_p = np.empty(n)
         self.dz2 = np.empty((n, 1), dtype)
-        self.dp1 = np.empty((n, d1), dtype)
-        self.dh1 = np.empty((n, d1), dtype)
+        self.v = np.empty((n, 1), dtype)
+        self.dz1 = np.empty((n, d1), dtype)
         self.relu_mask = np.empty((n, d1), dtype=bool)
-        self.dp0 = np.empty((n, d0), dtype)
+        self.u = np.empty((n, d1), dtype)
         self.grad, (self.dh0, self.dw0, self.dw1) = _carve(
             _gcn_shapes(n, d0, d1), dtype
         )
@@ -308,11 +332,11 @@ class _Workspace:
     def forward(self, params: GcnParams, a_hat: sp.csr_array) -> np.ndarray:
         """p = sigmoid(Â relu(Â h0 w0) w1) into ``self.p``, which it returns."""
         self.qp_of = None
-        _spmm(a_hat, params.h0, self.p0)
-        np.matmul(self.p0, params.w0, out=self.h1)  # z1, rectified in place
+        np.matmul(params.h0, params.w0, out=self.t0)
+        _spmm(a_hat, self.t0, self.h1)  # z1, rectified in place
         np.maximum(self.h1, 0.0, out=self.h1)
-        _spmm(a_hat, self.h1, self.p1)
-        np.matmul(self.p1, params.w1, out=self.z2)
+        np.matmul(self.h1, params.w1, out=self.t1)
+        _spmm(a_hat, self.t1, self.z2)
         expit(self.z2[:, 0], out=self.p, dtype=np.float64)
         return np.clip(self.p, _P_EPS, 1.0 - _P_EPS, out=self.p)
 
@@ -326,7 +350,10 @@ class _Workspace:
     def backward(
         self, params: GcnParams, a_hat: sp.csr_array, q: QuboMatrix
     ) -> list[np.ndarray]:
-        """Gradients [dh0, dw0, dw1] at the last :meth:`forward` of params."""
+        """Gradients [dh0, dw0, dw1] at the last :meth:`forward` of params.
+
+        Â is symmetric, so each adjoint product is Â itself, taken on the
+        narrow side of its layer."""
         p, dp = self.p, self.dp
         if self.qp_of is not q:
             _spmm(q._offdiag, p, self.qp)
@@ -335,15 +362,16 @@ class _Workspace:
         np.subtract(1.0, p, out=self.one_minus_p)
         # dz2 = dH/dp p (1 - p), computed in float64 and stored in dtype
         np.multiply(dp, self.one_minus_p, out=self.dz2[:, 0])
-        np.matmul(self.p1.T, self.dz2, out=self.dw1)
-        np.matmul(self.dz2, params.w1.T, out=self.dp1)
-        _spmm(a_hat, self.dp1, self.dh1)
+        _spmm(a_hat, self.dz2, self.v)
+        np.matmul(self.h1.T, self.v, out=self.dw1)
+        # v w1^T as a broadcast: a matmul with inner width 1 is slower
+        np.multiply(self.v, params.w1.T, out=self.dz1)
         # h1 = relu(z1) is positive exactly where z1 is
         np.greater(self.h1, 0.0, out=self.relu_mask)
-        dz1 = np.multiply(self.dh1, self.relu_mask, out=self.dh1)
-        np.matmul(self.p0.T, dz1, out=self.dw0)
-        np.matmul(dz1, params.w0.T, out=self.dp0)
-        _spmm(a_hat, self.dp0, self.dh0)
+        np.multiply(self.dz1, self.relu_mask, out=self.dz1)
+        _spmm(a_hat, self.dz1, self.u)
+        np.matmul(params.h0.T, self.u, out=self.dw0)
+        np.matmul(self.u, params.w0.T, out=self.dh0)
         return [self.dh0, self.dw0, self.dw1]
 
 

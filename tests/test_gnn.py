@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import expit
 
+from cograd import gnn
 from cograd.graph import (
     Graph,
     generate_d_regular,
@@ -232,15 +233,21 @@ def test_forward_backward_return_fresh_arrays():
 
 
 def _reference_train(g, q, cfg):
-    """train() in float64 as a plain loop: public forward/backward, textbook
-    Adam and the best-loss patience window, every array out of place."""
-    a_hat = renormalized_adjacency(g)
+    """A float64 descent as a plain loop, every array out of place: Â times
+    each layer's input before its weight, (Â h0) w0 and (Â h1) w1, textbook
+    Adam and the best-loss patience window. Its sums associate differently
+    from train()'s kernel, which multiplies by the weight first."""
+    a = renormalized_adjacency(g)
     params = init_params(g.n, *default_dims(g.n), cfg.seed)
-    m = [np.zeros_like(x) for x in params.arrays()]
-    v = [np.zeros_like(x) for x in params.arrays()]
+    h0, w0, w1 = (x.copy() for x in params.arrays())
+    m = [np.zeros_like(x) for x in (h0, w0, w1)]
+    v = [np.zeros_like(x) for x in (h0, w0, w1)]
     best_loss, best_p, trace, stop = np.inf, None, [], "max_epochs"
     for epoch in range(1, cfg.max_epochs + 1):
-        p = np.asarray(forward(params, a_hat))
+        p0 = a @ h0
+        h1 = np.maximum(p0 @ w0, 0.0)
+        p1 = a @ h1
+        p = np.clip(expit((p1 @ w1)[:, 0]), _P_EPS, 1.0 - _P_EPS)
         loss = relaxed_loss(p, q)
         if loss < best_loss:
             best_loss, best_p = loss, p.copy()
@@ -249,15 +256,18 @@ def _reference_train(g, q, cfg):
                 and trace[epoch - 1 - cfg.patience][2] - best_loss < cfg.tolerance):
             stop = "patience"
             break
-        grads = backward(params, a_hat, q).arrays()
-        _textbook_adam_step(params.arrays(), grads, m, v, epoch, cfg.learning_rate)
+        dz2 = (q.gradient(p) * p * (1.0 - p))[:, None]
+        dz1 = (a @ (dz2 @ w1.T)) * (h1 > 0.0)
+        grads = [a @ (dz1 @ w0.T), p0.T @ dz1, p1.T @ dz2]
+        _textbook_adam_step([h0, w0, w1], grads, m, v, epoch, cfg.learning_rate)
     return best_p, trace, stop
 
 
 def _reference_train_f32(g, q, cfg):
-    """train()'s mixed precision as a plain loop, every array out of place:
-    Â, the parameters, the n x d products, the gradients and Adam in
-    float32; p, the loss and dH/dp p (1 - p) in float64."""
+    """train()'s mixed precision and association as a plain loop, every
+    array out of place: Â, the parameters, the n x d products, the gradients
+    and Adam in float32; p, the loss and dH/dp p (1 - p) in float64. Each
+    layer multiplies by its weight before Â."""
     f32 = np.float32
     a = renormalized_adjacency(g).astype(f32)
     params = init_params(g.n, *default_dims(g.n), cfg.seed)
@@ -266,10 +276,8 @@ def _reference_train_f32(g, q, cfg):
     v = [np.zeros_like(x) for x in (h0, w0, w1)]
     best_loss, best_p, trace, stop = np.inf, None, [], "max_epochs"
     for epoch in range(1, cfg.max_epochs + 1):
-        p0 = a @ h0
-        h1 = np.maximum(p0 @ w0, 0.0)
-        p1 = a @ h1
-        z2 = p1 @ w1
+        h1 = np.maximum(a @ (h0 @ w0), 0.0)
+        z2 = a @ (h1 @ w1)
         p = np.clip(expit(z2[:, 0].astype(np.float64)), _P_EPS, 1.0 - _P_EPS)
         loss = relaxed_loss(p, q)
         if loss < best_loss:
@@ -280,8 +288,10 @@ def _reference_train_f32(g, q, cfg):
             stop = "patience"
             break
         dz2 = (q.gradient(p) * p * (1.0 - p)).astype(f32)[:, None]
-        dz1 = (a @ (dz2 @ w1.T)) * (h1 > 0.0)
-        grads = [a @ (dz1 @ w0.T), p0.T @ dz1, p1.T @ dz2]
+        a_dz2 = a @ dz2
+        dz1 = (a_dz2 * w1.T) * (h1 > 0.0)
+        a_dz1 = a @ dz1
+        grads = [a_dz1 @ w0.T, h0.T @ a_dz1, h1.T @ a_dz2]
         assert all(x.dtype == f32 for x in grads)
         _textbook_adam_step([h0, w0, w1], grads, m, v, epoch, cfg.learning_rate)
     return best_p, trace, stop
@@ -327,6 +337,37 @@ def test_train_float32_tracks_float64_loop(kind, graph):
         project_and_repair(kind, g, sa, polish=True),
         project_and_repair(kind, g, p64, polish=True),
     )
+
+
+def _record_spmm_widths(monkeypatch):
+    """Column counts of the n x d products the gnn module's ``_spmm`` takes,
+    in call order; Q_offdiag p is the one product on a vector."""
+    widths = []
+    spmm = gnn._spmm
+
+    def recording(a, x, out):
+        if x.ndim == 2:
+            widths.append(x.shape[1])
+        return spmm(a, x, out)
+
+    monkeypatch.setattr(gnn, "_spmm", recording)
+    return widths
+
+
+@pytest.mark.parametrize("dims", [None, (3, 8)])
+def test_sparse_products_are_d1_or_one_column_wide(monkeypatch, dims):
+    # each layer multiplies by its weight before Â, so no sparse product is
+    # d0 wide; an override with d1 > d0 keeps the same association
+    g = generate_d_regular(40, 3, seed=2)
+    q = build_qubo(ProblemKind.MIS, g)
+    d0, d1 = default_dims(g.n) if dims is None else dims
+    assert (d0, d1) == ((6, 3) if dims is None else dims)
+    widths = _record_spmm_widths(monkeypatch)
+    train(g, q, TrainConfig(max_epochs=1, d0=d0, d1=d1))
+    assert widths == [d1, 1, 1, d1]
+    widths.clear()
+    forward(init_params(g.n, d0, d1, seed=0), renormalized_adjacency(g))
+    assert widths == [d1, 1]
 
 
 def _csr_cases():
@@ -504,6 +545,21 @@ def test_train_rejects_bad_dims(dims):
     q = build_qubo(ProblemKind.MIS, g)
     with pytest.raises(ValueError, match="embedding dims must be at least 1"):
         train(g, q, TrainConfig(d0=dims[0], d1=dims[1], max_epochs=2))
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [{"d0": 0}, {"d1": -3}, {"d0": 3.5}, {"d1": 2.0}, {"d0": True}, {"d1": False},
+     {"d0": "4"}, {"d0": np.float64(4.0)}],
+)
+def test_train_config_rejects_bad_dims(dims):
+    with pytest.raises(ValueError, match="embedding dims must be at least 1"):
+        TrainConfig(**dims)
+
+
+def test_train_config_accepts_dims():
+    assert TrainConfig().d0 is None
+    assert TrainConfig(d0=1, d1=np.int64(7)).d1 == 7
 
 
 def test_train_config_validation():

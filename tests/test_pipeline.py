@@ -134,6 +134,20 @@ def test_partial_observation_without_edges_fails_before_training(monkeypatch):
         end_to_end_solve(Graph(5), _cfg(ProblemKind.MIS, observe_fraction=0.8))
 
 
+@pytest.mark.parametrize("dims", [{"d0": 0}, {"d1": 3.5}, {"d0": True}])
+def test_bad_solver_dims_fail_before_predictor_training(monkeypatch, dims):
+    def no_training(*args, **kwargs):
+        raise AssertionError("predictor training started")
+
+    monkeypatch.setattr("cograd.pipeline.train_predictor", no_training)
+    g = generate_erdos_renyi(30, 0.2, seed=0)
+    with pytest.raises(ValueError, match="embedding dims must be at least 1"):
+        end_to_end_solve(
+            g,
+            _cfg(ProblemKind.MIS, observe_fraction=0.8, solver_cfg=TrainConfig(**dims)),
+        )
+
+
 def test_k4_maxcut_full_observation():
     k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     res = end_to_end_solve(k4, _cfg(ProblemKind.MAXCUT))

@@ -339,11 +339,17 @@ def test_train_float32_tracks_float64_loop(kind, graph):
     )
 
 
-def _record_spmm_widths(monkeypatch):
-    """Column counts of the n x d products the gnn module's ``_spmm`` takes,
-    in call order; Q_offdiag p is the one product on a vector."""
-    widths = []
-    spmm = gnn._spmm
+@pytest.mark.parametrize("dims", [None, (3, 8)])
+def test_sparse_products_are_d1_or_one_column_wide(monkeypatch, dims):
+    # each layer multiplies by its weight before Â, so no sparse product is
+    # d0 wide; an override with d1 > d0 keeps the same association
+    g = generate_d_regular(40, 3, seed=2)
+    q = build_qubo(ProblemKind.MIS, g)
+    d0, d1 = dims or default_dims(g.n)
+    assert d0 != d1
+    # the column count of each product with Â, in call order;
+    # Q_offdiag p is the one product on a vector
+    widths, spmm = [], gnn._spmm
 
     def recording(a, x, out):
         if x.ndim == 2:
@@ -351,18 +357,6 @@ def _record_spmm_widths(monkeypatch):
         return spmm(a, x, out)
 
     monkeypatch.setattr(gnn, "_spmm", recording)
-    return widths
-
-
-@pytest.mark.parametrize("dims", [None, (3, 8)])
-def test_sparse_products_are_d1_or_one_column_wide(monkeypatch, dims):
-    # each layer multiplies by its weight before Â, so no sparse product is
-    # d0 wide; an override with d1 > d0 keeps the same association
-    g = generate_d_regular(40, 3, seed=2)
-    q = build_qubo(ProblemKind.MIS, g)
-    d0, d1 = default_dims(g.n) if dims is None else dims
-    assert (d0, d1) == ((6, 3) if dims is None else dims)
-    widths = _record_spmm_widths(monkeypatch)
     train(g, q, TrainConfig(max_epochs=1, d0=d0, d1=d1))
     assert widths == [d1, 1, 1, d1]
     widths.clear()

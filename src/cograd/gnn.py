@@ -68,7 +68,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 from scipy.special import expit
 
-from .baselines import one_flip_local_search
+from .baselines import greedy_flip, one_flip_local_search
 from .graph import Graph, renormalized_adjacency
 from .qubo import BinaryAssignment, ProblemKind, QuboMatrix
 
@@ -571,6 +571,13 @@ def project_and_repair(
     With ``polish`` the result is refined by 1-flip first-improvement local
     search. The output is always feasible.
 
+    The decisions are those of the sequential scans above, bit for bit, at
+    O(n + m) work per pass. Only edges that violate at the threshold are
+    visited, in canonical order, since x only falls (MIS) or rises (MVC)
+    along the way. The add and drop scans flip the greedy independent set,
+    in their scan order, of the nodes eligible when the scan starts (see
+    :func:`cograd.baselines.greedy_flip`).
+
     Raises
     ------
     ValueError
@@ -583,22 +590,22 @@ def project_and_repair(
     if np.isnan(p).any():
         raise ValueError("p holds NaN")
     x = (p >= 0.5).astype(np.int64)
-    if kind is ProblemKind.MIS:
-        for u, v in zip(g.edge_u, g.edge_v):
-            if x[u] == 1 and x[v] == 1:
-                drop = v if g.degree[v] >= g.degree[u] else u
-                x[drop] = 0
-        for i in range(g.n):
-            if x[i] == 0 and not np.any(x[g.neighbors(i)] == 1):
-                x[i] = 1
-    elif kind is ProblemKind.MVC:
-        for u, v in zip(g.edge_u, g.edge_v):
-            if x[u] == 0 and x[v] == 0:
-                pick = u if g.degree[u] >= g.degree[v] else v
-                x[pick] = 1
-        for i in range(g.n - 1, -1, -1):
-            if x[i] == 1 and bool(np.all(x[g.neighbors(i)] == 1)):
-                x[i] = 0
+    if kind is not ProblemKind.MAXCUT:
+        # MIS deselects around selected pairs, MVC selects on unselected pairs
+        value = 1 if kind is ProblemKind.MIS else 0
+        u, v = g.edge_u, g.edge_v
+        bad = np.flatnonzero((x[u] == value) & (x[v] == value))
+        u, v = u[bad], v[bad]
+        if kind is ProblemKind.MIS:
+            flip = np.where(g.degree[v] >= g.degree[u], v, u)
+        else:
+            flip = np.where(g.degree[u] >= g.degree[v], u, v)
+        xs = x.tolist()
+        for a, b, f in zip(u.tolist(), v.tolist(), flip.tolist()):
+            if xs[a] == value and xs[b] == value:
+                xs[f] = 1 - value
+        x = np.asarray(xs, dtype=np.int64)
+        greedy_flip(g, x, 1 - value, descending=kind is ProblemKind.MVC)
     if polish:
         x = one_flip_local_search(kind, g, x)
     return x

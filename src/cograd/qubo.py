@@ -241,6 +241,11 @@ def objective(kind: ProblemKind, g: Graph, x: Iterable[float]) -> float:
 
     MaxCut: total weight of edges with endpoints on opposite sides.
     MIS / MVC: number of selected nodes.
+
+    Raises
+    ------
+    ValueError
+        If x is not a vector of g.n entries, each 0 or 1.
     """
     kind = ProblemKind(kind)
     xa = _as_binary(x, g.n)
@@ -252,7 +257,13 @@ def objective(kind: ProblemKind, g: Graph, x: Iterable[float]) -> float:
 
 def is_feasible(kind: ProblemKind, g: Graph, x: Iterable[float]) -> bool:
     """Check the edge constraints: none for MaxCut, x_u + x_v <= 1 on every
-    edge for MIS, x_u + x_v >= 1 for MVC."""
+    edge for MIS, x_u + x_v >= 1 for MVC.
+
+    Raises
+    ------
+    ValueError
+        If x is not a vector of g.n entries, each 0 or 1.
+    """
     kind = ProblemKind(kind)
     xa = _as_binary(x, g.n)
     if kind is ProblemKind.MAXCUT:
@@ -326,4 +337,8 @@ def _as_binary(x: Iterable[float], n: int) -> np.ndarray:
     xa = np.asarray(x)
     if xa.shape != (n,):
         raise ValueError(f"assignment has shape {xa.shape}, expected ({n},)")
+    bad = (xa != 0) & (xa != 1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"assignment entry {i} is {xa[i]!r}, expected 0 or 1")
     return xa.astype(np.int64)

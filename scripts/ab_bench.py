@@ -38,11 +38,20 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``"501-505,511"`` -> [501, 502, 503, 504, 505, 511]."""
+    """``"501-505,511"`` -> [501, 502, 503, 504, 505, 511].
+
+    Raises ValueError on an empty part, a reversed range or a seed named
+    twice, which would run no seed or pair one seed's runs with another's.
+    """
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds += range(int(lo), int(hi or lo) + 1)
+        span = range(int(lo), int(hi or lo) + 1)
+        if not span:
+            raise ValueError(f"seed range {part!r} is empty")
+        seeds += span
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"a seed appears twice in {text!r}")
     return seeds
 
 
@@ -121,8 +130,13 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+# the environment variables that size the BLAS pool of the benchmark's runs
+_POOL_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def machine() -> dict:
     info = {"cpus": len(os.sched_getaffinity(0)), "python": platform.python_version()}
+    info.update({name: os.environ.get(name) for name in _POOL_ENV})
     try:
         import numpy as np
         import scipy

@@ -233,8 +233,10 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
         instances = tuple(InstanceSpec(**d) for d in ns.instances)
     except TypeError as exc:
         raise _UsageError(f"bad instance entry: {exc}") from exc
-    base = int(ns.seed)
-    seeds = tuple(range(base, base + int(ns.seeds)))
+    count, base = int(ns.seeds), int(ns.seed)
+    if count < 1:
+        raise _UsageError(f"--seeds must be at least 1, got {count}")
+    seeds = tuple(range(base, base + count))
     spec = _suite_spec(ns, instances, tuple(ns.methods), seeds)
     _write_out(emit_report(run_suite(spec), ns.format), ns.out)
     return 0

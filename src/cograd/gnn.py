@@ -55,13 +55,31 @@ first, (Â h0) w0: the same epochs, stop reasons and repaired decisions,
 with p within 1e-4, across both the precision and the association. The
 public :func:`forward` and :func:`backward` stay float64, because the
 finite-difference gradient checks need that precision.
+
+Threads. :func:`descend`, and so :func:`train` and the link predictor's
+training, runs its epochs with numpy's BLAS limited to one thread and then
+gives the caller back the thread count it had, on every exit. An epoch's
+dense products (h0 w0, h0^T u and u w0^T at n x d) are large enough for
+OpenBLAS to split across its pool, but they come every couple of
+milliseconds, and between them the pool's idle worker busy-waits: at
+n = 3000 on two cores a descent burned about twice the CPU time of its wall
+time and gained little wall time for it, as scikit-learn found for its
+k-means loop. On one thread the products also sum in one order, so p no
+longer depends on the machine's core count. The functions bound are those
+of the OpenBLAS numpy has already loaded, found once; with another BLAS
+(MKL, Accelerate) or where no loaded library can be found, the scope does
+nothing and the pool is left as it is.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -456,6 +474,95 @@ class Adam:
             a -= np.divide(num, den, out=num)
 
 
+# OpenBLAS's thread-count functions, tried in turn: numpy's wheels (64-bit
+# integer interface), a scipy-openblas build with 32-bit integers, a plain
+# OpenBLAS
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+class _BlasThreads(NamedTuple):
+    """The thread-count functions of one loaded BLAS library."""
+
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+@functools.cache
+def _openblas() -> _BlasThreads | None:
+    """The thread-count functions of the OpenBLAS numpy has loaded, or None
+    when none can be found (another BLAS, or no ``/proc/self/maps``).
+
+    Only libraries already mapped into the process are looked at, and they
+    are opened with ``RTLD_NOLOAD``, so no second copy is ever loaded.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return None
+    paths = dict.fromkeys(
+        f[5].rstrip("\n")
+        for f in fields
+        if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()
+    )
+    libs = []
+    for path in paths:
+        try:
+            libs.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY))
+        except OSError:
+            continue
+    for get_name, set_name in _OPENBLAS_SYMBOLS:
+        for lib in libs:
+            try:
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            except AttributeError:
+                continue
+            get.restype, get.argtypes = ctypes.c_int, ()
+            set_.restype, set_.argtypes = None, (ctypes.c_int,)
+            return _BlasThreads(get, set_)
+    return None
+
+
+class _OneBlasThread:
+    """Context manager limiting numpy's BLAS to one thread.
+
+    The pool size is process-wide, so nested and concurrent scopes share
+    it: the first to enter saves the caller's count and sets 1, the last to
+    leave restores the count. Without a bound OpenBLAS it does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 0
+
+    def __enter__(self) -> None:
+        blas = _openblas()
+        if blas is None:
+            return
+        with self._lock:
+            if self._depth == 0:
+                self._saved = blas.get()
+                blas.set(1)
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        blas = _openblas()
+        if blas is None:
+            return
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                blas.set(self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def descend(
     params: np.ndarray,
     evaluate: Callable[[], tuple[float, Callable[[], np.ndarray]]],
@@ -474,6 +581,11 @@ def descend(
     Returns the (epoch, loss, best_loss) trace, epochs starting at 1, with
     its stop reason.
 
+    The epochs run with numpy's BLAS on the calling thread (see the module
+    docstring), so p does not depend on the BLAS pool size; the caller's
+    thread count is restored however the descent ends, including when
+    ``evaluate`` raises. Without OpenBLAS the pool is left as it is.
+
     Raises
     ------
     TrainingDivergedError
@@ -484,7 +596,7 @@ def descend(
     trace = LossTrace()
     trace.stop_reason = "max_epochs"
     # non-finite arithmetic is caught by the loss guard, not warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _one_blas_thread, np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.max_epochs + 1):
             loss, grad = evaluate()
             if not np.isfinite(loss):

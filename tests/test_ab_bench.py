@@ -33,6 +33,20 @@ def test_parse_seeds():
     assert ab_bench.parse_seeds("7") == [7]
 
 
+@pytest.mark.parametrize("text", ["", "5-3", "1-3,", "1-3,2"])
+def test_parse_seeds_rejects_an_empty_or_repeated_range(text):
+    with pytest.raises(ValueError):
+        ab_bench.parse_seeds(text)
+
+
+def test_machine_records_the_blas_pool_environment(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    info = ab_bench.machine()
+    assert info["OPENBLAS_NUM_THREADS"] == "1"
+    assert "OMP_NUM_THREADS" in info and info["OMP_NUM_THREADS"] is None
+
+
 def test_summary_counts_pairs_medians_and_the_gain_rule():
     runs = []
     for i, seed in enumerate(range(101, 111)):

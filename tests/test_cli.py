@@ -134,6 +134,24 @@ def test_bench_with_config(tmp_path, ring6, capsys):
     assert [l.split(",")[7] for l in lines[1:]] == ["0", "1", "0", "1"]
 
 
+@pytest.mark.parametrize("seeds", [0, -2])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_bench_without_seeds_is_usage_error(tmp_path, ring6, capsys, seeds, via):
+    cfg = tmp_path / "suite.json"
+    suite = {
+        "problem": "maxcut",
+        "instances": [{"name": "ring6", "path": ring6}],
+        "methods": ["dga"],
+    }
+    if via == "config":
+        suite["seeds"] = seeds
+    cfg.write_text(json.dumps(suite))
+    flags = ["--seeds", str(seeds)] if via == "flag" else []
+    assert main(["bench", "--config", str(cfg), *flags]) == 1
+    out = capsys.readouterr()
+    assert "--seeds" in out.err and out.out == ""
+
+
 def test_config_file_supplies_required_flags(tmp_path, ring6, capsys):
     cfg = tmp_path / "solve.json"
     cfg.write_text(json.dumps(

@@ -61,14 +61,15 @@ training, runs its epochs with numpy's BLAS limited to one thread and then
 gives the caller back the thread count it had, on every exit. An epoch's
 dense products (h0 w0, h0^T u and u w0^T at n x d) are large enough for
 OpenBLAS to split across its pool, but they come every couple of
-milliseconds, and between them the pool's idle worker busy-waits: at
-n = 3000 on two cores a descent burned about twice the CPU time of its wall
-time and gained little wall time for it, as scikit-learn found for its
-k-means loop. On one thread the products also sum in one order, so p no
-longer depends on the machine's core count. The functions bound are those
-of the OpenBLAS numpy has already loaded, found once; with another BLAS
-(MKL, Accelerate) or where no loaded library can be found, the scope does
-nothing and the pool is left as it is.
+milliseconds, and between them the pool's idle worker busy-waits. At
+n = 3000 on two cores a descent so burned about twice the CPU time of its
+wall time, and one thread halves the CPU time with no loss of wall time.
+scikit-learn limits BLAS around its k-means loop for the same reason. On
+one thread the products also sum in one order, so p no longer depends on
+the machine's core count. The functions bound are those of the OpenBLAS
+numpy has already loaded, found once; with another BLAS (MKL, Accelerate)
+or where no loaded library can be found, the scope does nothing and the
+pool is left as it is.
 """
 
 from __future__ import annotations

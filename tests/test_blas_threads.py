@@ -3,6 +3,7 @@ thread count back on every exit."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -130,4 +131,31 @@ def test_concurrent_descents_restore_when_the_last_leaves(pool):
     second.join(timeout=30)
     assert not errors and not second.is_alive()
     assert seen == {"first": [1], "second": [1]}
+    assert _BLAS.get() == pool
+
+
+def test_many_threads_descending_keep_one_thread_and_restore(pool):
+    """A lost update of the shared depth would restore the pool while some
+    descent is still inside, or leave it at one thread at the end."""
+    seen, errors = [], []
+
+    def work():
+        try:
+            for _ in range(50):
+                descend(np.zeros(1), _counting_evaluate(seen), TrainConfig(max_epochs=2))
+        except Exception as exc:  # surfaced below, not lost in the thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert len(seen) == 6 * 50 * 2 and set(seen) == {1}
     assert _BLAS.get() == pool

@@ -134,7 +134,12 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     if not path.exists():
         raise _UsageError(f"config file not found: {ns.config}")
     try:
-        doc = json.loads(path.read_text())
+        text = path.read_text()
+    except OSError as exc:  # a directory or an unreadable file
+        reason = exc.strerror or exc
+        raise _UsageError(f"cannot read config file {ns.config}: {reason}") from None
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -177,8 +182,12 @@ def _require(ns: argparse.Namespace, *names: str):
 def _write_out(data: bytes, out: str | None):
     if out is None:
         sys.stdout.write(data.decode())
-    else:
+        return
+    try:
         Path(out).write_bytes(data)
+    except OSError as exc:  # a directory, a missing parent, no permission
+        reason = exc.strerror or exc
+        raise ValueError(f"cannot write output file {out}: {reason}") from None
 
 
 def _suite_spec(ns: argparse.Namespace, instances, methods, seeds) -> SuiteSpec:

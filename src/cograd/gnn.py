@@ -4,7 +4,8 @@ The network maps trainable node embeddings through two normalized-adjacency
 convolutions, ReLU then sigmoid, to per-node probabilities p. Training
 descends the relaxed energy H(p) directly (no labels), after which p is
 thresholded and repaired into a feasible binary assignment. Gradients are
-computed analytically; the only dependency is numpy/scipy.
+computed analytically, in numpy; of scipy only the compiled CSR kernel is
+used, without importing ``scipy.sparse`` (see :mod:`cograd._sparse`).
 
 :func:`train` allocates one workspace of epoch buffers per call and the
 epoch writes into it, as :class:`Adam` does into its own moment and scratch
@@ -26,14 +27,24 @@ products on the same narrow side, 1 and d1 columns wide, and an epoch's
 sparse work is 2 d1 + 2 columns instead of 2 d0 + 2 d1. The dense products
 cost the same in either order.
 
-The sparse products go through :func:`_spmm`, which writes ``a @ x`` into a
-workspace buffer by calling the compiled kernel that scipy's ``@`` calls.
-scipy offers no ``out=`` for a sparse-dense product, and its ``@`` pays
-for argument dispatch and a fresh zeroed result on every call, a cost
-that does not shrink with n. The kernel (``csr_matvec`` and
-``csr_matvecs`` in ``scipy.sparse._sparsetools``) is private to scipy, so
-:func:`_spmm` stays private here and a test pins it, byte for byte, to
-``a @ x``.
+The sparse products go through :func:`_spmm` (``cograd._sparse.spmm``),
+which writes ``a @ x`` into a workspace buffer by calling the compiled
+kernel that scipy's ``@`` calls, ``csr_matvec`` or ``csr_matvecs`` in
+``scipy.sparse._sparsetools``. scipy offers no ``out=`` for a sparse-dense
+product, and its ``@`` pays for argument dispatch and a fresh zeroed
+result on every call, a cost that does not shrink with n. :func:`train`
+builds Â once per call as a ``Csr`` record of its three arrays, so an
+epoch touches no scipy object, and each product checks only its buffers.
+The kernel is private to scipy and is loaded from its file, because
+importing ``scipy.sparse`` takes longer than a short solve; so
+:func:`_spmm` stays private here, and a test pins it, byte for byte, to
+scipy's ``a @ x`` on scipy matrices and records alike. The public
+:func:`forward` and :func:`backward` take a scipy CSR matrix, as
+:func:`cograd.graph.renormalized_adjacency` returns.
+
+The sigmoid is 1 / (1 + exp(-z)) in numpy (:func:`_sigmoid`), which is
+within 4 ULP of ``scipy.special.expit``. Its last bits follow numpy's
+exp, which numpy may dispatch to different SIMD code on different CPUs.
 
 Precision. :func:`train` runs the n x d part of every epoch in float32, as
 in mixed-precision training (Micikevicius et al., ICLR 2018): Â, cast once
@@ -80,16 +91,18 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
-from scipy.special import expit
 
+from ._sparse import Csr, as_csr
+from ._sparse import spmm as _spmm
 from .baselines import greedy_flip, one_flip_local_search
-from .graph import Graph, renormalized_adjacency
+from .graph import Graph, _renormalized_csr
 from .qubo import BinaryAssignment, ProblemKind, QuboMatrix
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "GcnParams",
@@ -259,43 +272,21 @@ def _draw_normal(
     return flat, views
 
 
-def _spmm(a: sp.csr_array, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``a @ x`` written into ``out``, which it returns, bit for bit.
+def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) into ``out``, which it returns, in ``out``'s dtype.
 
-    ``a`` is a CSR matrix; ``x`` is a vector or matrix with as many rows as
-    ``a`` has columns; ``out`` is a C-contiguous array of the product's
-    shape. All three are float64, or all three float32. As in scipy's
-    dispatch, a vector or a single column goes through ``csr_matvec`` and a
-    wider matrix through ``csr_matvecs``; both add into ``out``, which is
-    zeroed first.
+    Where z < -709 (float64), exp(-z) overflows to inf and the quotient is
+    0, as it should be, but numpy warns of the overflow. :func:`descend`
+    runs its epochs with that warning off; other callers switch it off
+    themselves, with ``np.errstate(over="ignore")``.
     """
-    m, n = a.shape
-    if not (
-        a.format == "csr"
-        and a.dtype == x.dtype == out.dtype
-        and out.dtype in (np.float32, np.float64)
-        and 1 <= x.ndim <= 2
-        and x.shape[0] == n
-        and out.shape == (m,) + x.shape[1:]
-        and out.flags.c_contiguous
-    ):
-        raise ValueError(
-            f"cannot write a {a.shape} {a.dtype} {a.format} matrix times a "
-            f"{x.shape} {x.dtype} array into a {out.shape} {out.dtype} array"
-        )
-    out.fill(0.0)
-    if x.ndim == 1 or x.shape[1] == 1:
-        _sparsetools.csr_matvec(
-            m, n, a.indptr, a.indices, a.data, x.ravel(), out.ravel()
-        )
-    else:
-        _sparsetools.csr_matvecs(
-            m, n, x.shape[1], a.indptr, a.indices, a.data, x.ravel(), out.ravel()
-        )
-    return out
+    np.negative(z, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    return np.divide(1.0, out, out=out)
 
 
-def _check_shapes(params: GcnParams, a_hat: sp.csr_array) -> None:
+def _check_shapes(params: GcnParams, a_hat: Csr) -> None:
     n, d0 = params.h0.shape
     if a_hat.shape != (n, n):
         raise ValueError(f"adjacency shape {a_hat.shape} does not match n={n}")
@@ -348,16 +339,19 @@ class _Workspace:
             _gcn_shapes(n, d0, d1), dtype
         )
 
-    def forward(self, params: GcnParams, a_hat: sp.csr_array) -> np.ndarray:
-        """p = sigmoid(Â relu(Â h0 w0) w1) into ``self.p``, which it returns."""
+    def forward(self, params: GcnParams, a_hat: Csr) -> np.ndarray:
+        """p = sigmoid(Â relu(Â h0 w0) w1) into ``self.p``, which it
+        returns. exp may overflow in the sigmoid (see :func:`_sigmoid`)."""
         self.qp_of = None
         np.matmul(params.h0, params.w0, out=self.t0)
         _spmm(a_hat, self.t0, self.h1)  # z1, rectified in place
         np.maximum(self.h1, 0.0, out=self.h1)
         np.matmul(self.h1, params.w1, out=self.t1)
         _spmm(a_hat, self.t1, self.z2)
-        expit(self.z2[:, 0], out=self.p, dtype=np.float64)
-        return np.clip(self.p, _P_EPS, 1.0 - _P_EPS, out=self.p)
+        _sigmoid(self.z2[:, 0], out=self.p)  # widened to float64 exactly
+        # np.clip(p, eps, 1 - eps) bit for bit, without its Python wrapper
+        np.maximum(self.p, _P_EPS, out=self.p)
+        return np.minimum(self.p, 1.0 - _P_EPS, out=self.p)
 
     def energy(self, q: QuboMatrix) -> float:
         """H(p) at the last :meth:`forward`, as ``q.value(p)`` gives it; the
@@ -367,7 +361,7 @@ class _Workspace:
         return q._energy(self.p, self.qp)
 
     def backward(
-        self, params: GcnParams, a_hat: sp.csr_array, q: QuboMatrix
+        self, params: GcnParams, a_hat: Csr, q: QuboMatrix
     ) -> list[np.ndarray]:
         """Gradients [dh0, dw0, dw1] at the last :meth:`forward` of params.
 
@@ -394,13 +388,18 @@ class _Workspace:
         return [self.dh0, self.dw0, self.dw1]
 
 
-def forward(params: GcnParams, a_hat: sp.csr_array) -> SoftAssignment:
+def forward(
+    params: GcnParams, a_hat: Csr | scipy.sparse.csr_array
+) -> SoftAssignment:
     """p = sigmoid(Â relu(Â h0 w0) w1), one probability per node.
 
-    Returns a new array on every call."""
+    ``a_hat`` is a scipy CSR matrix, such as :func:`renormalized_adjacency`
+    returns. Returns a new array on every call."""
+    a_hat = as_csr(a_hat)
     _check_shapes(params, a_hat)
     ws = _Workspace(*params.h0.shape, params.w0.shape[1])
-    return SoftAssignment(ws.forward(params, a_hat))
+    with np.errstate(over="ignore"):
+        return SoftAssignment(ws.forward(params, a_hat))
 
 
 def relaxed_loss(p: SoftAssignment | np.ndarray, q: QuboMatrix) -> float:
@@ -408,7 +407,9 @@ def relaxed_loss(p: SoftAssignment | np.ndarray, q: QuboMatrix) -> float:
     return q.value(np.asarray(p))
 
 
-def backward(params: GcnParams, a_hat: sp.csr_array, q: QuboMatrix) -> GcnParams:
+def backward(
+    params: GcnParams, a_hat: Csr | scipy.sparse.csr_array, q: QuboMatrix
+) -> GcnParams:
     """Exact gradients of relaxed_loss(forward(params)) w.r.t. each tensor.
 
     Chain rule through dH/dp = 2 Q_offdiag p + diag, the sigmoid, both
@@ -416,9 +417,11 @@ def backward(params: GcnParams, a_hat: sp.csr_array, q: QuboMatrix) -> GcnParams
     mask. Returned in a GcnParams of matching shapes, new arrays on every
     call.
     """
+    a_hat = as_csr(a_hat)
     _check_shapes(params, a_hat)
     ws = _Workspace(*params.h0.shape, params.w0.shape[1])
-    ws.forward(params, a_hat)
+    with np.errstate(over="ignore"):
+        ws.forward(params, a_hat)
     return GcnParams(*ws.backward(params, a_hat, q))
 
 
@@ -640,7 +643,8 @@ def train(
     """
     if g.n != q.n:
         raise ValueError(f"graph has {g.n} nodes but QUBO dimension is {q.n}")
-    a_hat = renormalized_adjacency(g).astype(np.float32)
+    a_hat = _renormalized_csr(g)
+    a_hat = a_hat._replace(data=a_hat.data.astype(np.float32))
     d0, d1 = _dims(g.n, cfg)
     # init_params' float64 draws, each rounded once to float32
     flat = _init_flat(g.n, d0, d1, cfg.seed)[0].astype(np.float32)

@@ -11,10 +11,14 @@ import gzip
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+
+from ._sparse import Csr, index_dtype
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "Graph",
@@ -166,8 +170,11 @@ class Graph:
         i = np.searchsorted(nbrs, v)
         return i < len(nbrs) and nbrs[i] == v
 
-    def adjacency(self) -> sp.csr_array:
-        """Symmetric weighted adjacency as a scipy CSR array."""
+    def adjacency(self) -> scipy.sparse.csr_array:
+        """Symmetric weighted adjacency as a scipy CSR array (imports
+        ``scipy.sparse`` on the first call)."""
+        import scipy.sparse as sp
+
         src = np.concatenate([self.edge_u, self.edge_v])
         dst = np.concatenate([self.edge_v, self.edge_u])
         wts = np.concatenate([self.edge_w, self.edge_w])
@@ -408,11 +415,12 @@ def sample_observed_subgraph(g: Graph, fraction: float, seed: int) -> ObservedSa
     )
 
 
-def renormalized_adjacency(g: Graph) -> sp.csr_array:
+def renormalized_adjacency(g: Graph) -> scipy.sparse.csr_array:
     """Self-loop-augmented, symmetrically normalized adjacency.
 
     Returns the sparse matrix with entries (A + I)_ij / sqrt(dh_i * dh_j),
-    where dh is the row sum of A + I. The added identity keeps isolated
+    where dh is the row sum of A + I, as a scipy CSR array (``scipy.sparse``
+    is imported on the first call). The added identity keeps isolated
     nodes well defined (dh = 1).
 
     Raises
@@ -421,6 +429,14 @@ def renormalized_adjacency(g: Graph) -> sp.csr_array:
         If negative edge weights push some augmented row sum to <= 0, making
         the normalization undefined.
     """
+    import scipy.sparse as sp
+
+    a = _renormalized_csr(g)
+    return sp.csr_array((a.data, a.indices, a.indptr), shape=a.shape)
+
+
+def _renormalized_csr(g: Graph) -> Csr:
+    """:func:`renormalized_adjacency` as its CSR arrays, without scipy."""
     dh = g.degree + 1.0
     if np.any(dh <= 0.0):
         bad = int(np.argmin(dh))
@@ -447,7 +463,7 @@ def renormalized_adjacency(g: Graph) -> sp.csr_array:
     data = inv_sqrt[rows] * vals * inv_sqrt[cols]
     keep = data != 0.0
     # 32-bit indices whenever they fit, as the sparse product chooses
-    idx = np.int32 if len(cols) <= np.iinfo(np.int32).max else np.int64
+    idx = index_dtype(len(cols))
     indptr = np.zeros(n + 1, dtype=idx)
     np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
-    return sp.csr_array((data[keep], cols[keep].astype(idx), indptr), shape=(n, n))
+    return Csr(indptr, cols[keep].astype(idx), data[keep], (n, n))

@@ -21,10 +21,10 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
-from .gnn import TrainConfig, _carve, _dims, _draw_normal, _spmm, descend
-from .graph import Graph, ObservedSample, renormalized_adjacency
+from ._sparse import spmm
+from .gnn import TrainConfig, _carve, _dims, _draw_normal, _sigmoid, descend
+from .graph import Graph, ObservedSample, _renormalized_csr
 
 __all__ = [
     "PredictorParams",
@@ -142,8 +142,9 @@ def known_graph(sample: ObservedSample, full_n: int | None = None) -> Graph:
 
 
 def _encode(params: PredictorParams, known: ObservedSample) -> np.ndarray:
-    a_known = renormalized_adjacency(known_graph(known, params.full_n))
-    return (a_known @ params.embed) @ params.w
+    a_known = _renormalized_csr(known_graph(known, params.full_n))
+    embed = np.asarray(params.embed, dtype=np.float64)
+    return spmm(a_known, embed, np.empty(embed.shape)) @ params.w
 
 
 def train_predictor(
@@ -171,7 +172,7 @@ def train_predictor(
     og = sample.observed_graph
     if og.m == 0:
         raise ValueError("cannot train a predictor: the observed graph has no edges")
-    a_known = renormalized_adjacency(known_graph(sample, full_n))
+    a_known = _renormalized_csr(known_graph(sample, full_n))
     d_in, d_z = _dims(full_n, cfg)
 
     rng = np.random.default_rng(cfg.seed)
@@ -214,13 +215,15 @@ def train_predictor(
             _sample_non_edges(rng, k, edge_keys, neg_obs)
             np.take(kept, neg_obs, out=ends[:, m:])
             np.copyto(swapped[:, m:], ends[::-1, m:])
-        _spmm(a_known, embed, m_in)
+        spmm(a_known, embed, m_in)
         np.matmul(m_in, w, out=z)
         np.take(z, swapped, axis=0, out=z_ends)
         np.multiply(z_u, z_v, out=prod)
         np.sum(prod, axis=1, out=s)
-        expit(s, out=s)
-        np.clip(s, _S_EPS, 1.0 - _S_EPS, out=s)
+        _sigmoid(s, out=s)
+        # np.clip(s, eps, 1 - eps) bit for bit, without its Python wrapper
+        np.maximum(s, _S_EPS, out=s)
+        np.minimum(s, 1.0 - _S_EPS, out=s)
         # y log s + (1 - y) log(1 - s) at y in {0, 1}: the other term is a
         # signed zero (s is clipped inside (0, 1)), which adds nothing
         np.log(s[:m], out=terms[:m])
@@ -235,7 +238,7 @@ def train_predictor(
         _scatter_rows(ends.ravel(), z_ends.reshape(2 * n_pairs, d_z), dz)
         np.matmul(m_in.T, dz, out=dw)
         np.matmul(dz, w.T, out=dm)
-        _spmm(a_known, dm, dembed)
+        spmm(a_known, dm, dembed)
         dembed[unobs] += _WEIGHT_DECAY * embed[unobs]
         return grad
 
@@ -291,7 +294,9 @@ def _partner_budget(m_obs: int, k_obs: int, n: int) -> int:
 
 def _decode(z: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sigma(z[u[i]] . z[v[i]]) for each i."""
-    return expit(np.sum(z[u] * z[v], axis=1))
+    s = np.sum(z[u] * z[v], axis=1)
+    with np.errstate(over="ignore"):
+        return _sigmoid(s, out=s)
 
 
 def _row_blocks(rows: np.ndarray, width: int):

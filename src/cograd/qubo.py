@@ -15,8 +15,8 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 
+from ._sparse import Csr, index_dtype, spmm
 from .graph import Graph
 
 __all__ = [
@@ -83,12 +83,15 @@ class QuboMatrix:
         rows = np.asarray([i for i, _, _ in upper], dtype=np.int64)
         cols = np.asarray([j for _, j, _ in upper], dtype=np.int64)
         vals = np.asarray([c for _, _, c in upper], dtype=np.float64)
-        offdiag = sp.csr_array(
-            (
-                np.concatenate([vals, vals]),
-                (np.concatenate([rows, cols]), np.concatenate([cols, rows])),
-            ),
-            shape=(n, n),
+        # both directions of every pair, rows in order and each row's
+        # columns ascending, as scipy's coordinate-to-CSR conversion sorts
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+        order = np.lexsort((cols, rows))
+        idx = index_dtype(max(n, len(rows)))
+        indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        offdiag = Csr(
+            indptr, cols[order].astype(idx), np.concatenate([vals, vals])[order], (n, n)
         )
         self._build(n, diag, diag_nodes, offdiag, offset, penalty)
 
@@ -98,7 +101,7 @@ class QuboMatrix:
         n: int,
         diag: np.ndarray,
         diag_nodes: np.ndarray,
-        offdiag: sp.csr_array,
+        offdiag: Csr,
         offset: float,
         penalty: float,
     ) -> QuboMatrix:
@@ -143,14 +146,14 @@ class QuboMatrix:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"assignment has shape {x.shape}, expected ({self.n},)")
-        return self._energy(x, self._offdiag @ x)
+        return self._energy(x, spmm(self._offdiag, x, np.empty(self.n)))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """dH/dx = 2 * Q_offdiag @ x + diag."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"assignment has shape {x.shape}, expected ({self.n},)")
-        return self._energy_gradient(self._offdiag @ x)
+        return self._energy_gradient(spmm(self._offdiag, x, np.empty(self.n)))
 
     def _energy(self, x: np.ndarray, qx: np.ndarray) -> float:
         """H(x) from x and qx = Q_offdiag @ x."""
@@ -221,7 +224,8 @@ def build_qubo(kind: ProblemKind, g: Graph, penalty: float = 2.0) -> QuboMatrix:
         else:
             diag = np.full(n, sign)
     # the graph's CSR already holds both directions of every edge
-    offdiag = sp.csr_array((coeff, g.indices, g.indptr), shape=(n, n))
+    idx = index_dtype(max(n, len(coeff)))
+    offdiag = Csr(g.indptr.astype(idx), g.indices.astype(idx), coeff, (n, n))
     # bincount over no terms counts in integers, hence the cast
     diag = diag.astype(np.float64, copy=False)
     return QuboMatrix._from_arrays(n, diag, diag_nodes, offdiag, offset, penalty)

@@ -259,6 +259,24 @@ def test_solve_directory_input_is_data_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_out_is_data_error(tmp_path, ring6, capsys, target):
+    out = tmp_path if target == "directory" else tmp_path / "no" / "g.txt"
+    for argv in (["gen", "--n", "6", "--d", "3"],
+                 ["oracle", "--problem", "mis", "--input", ring6]):
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot write output file") and str(out) in err
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_config_directory_is_usage_error(tmp_path, capsys):
+    assert main(["solve", "--config", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot read config file") and str(tmp_path) in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def _solve_damaged_gzip(tmp_path, ring6, capsys, damage):
     packed = bytearray(gzip.compress(open(ring6, "rb").read()))
     damage(packed)

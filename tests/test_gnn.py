@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.special import expit
 
 from cograd import gnn
+from cograd._sparse import Csr
 from cograd.graph import (
     Graph,
     generate_d_regular,
@@ -278,7 +281,8 @@ def _reference_train_f32(g, q, cfg):
     for epoch in range(1, cfg.max_epochs + 1):
         h1 = np.maximum(a @ (h0 @ w0), 0.0)
         z2 = a @ (h1 @ w1)
-        p = np.clip(expit(z2[:, 0].astype(np.float64)), _P_EPS, 1.0 - _P_EPS)
+        # the sigmoid as train() computes it, 1 / (1 + exp(-z))
+        p = np.clip(1.0 / (1.0 + np.exp(-z2[:, 0].astype(np.float64))), _P_EPS, 1.0 - _P_EPS)
         loss = relaxed_loss(p, q)
         if loss < best_loss:
             best_loss, best_p = loss, p.copy()
@@ -397,6 +401,11 @@ def test_spmm_byte_equal_to_sparse_product(a, cols):
         assert got is out
         assert got.shape == want.shape and got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes()
+        # the same arrays as a Csr record
+        record = Csr(a.indptr, a.indices, a.data, a.shape)
+        out = np.full(want.shape, np.nan, dtype)
+        assert _spmm(record, x, out) is out
+        assert out.tobytes() == want.tobytes()
 
 
 def test_spmm_rejects_mismatched_buffers():
@@ -429,6 +438,35 @@ def test_spmm_rejects_mixed_dtypes():
     ints = sp.csr_array(np.eye(3, dtype=np.int64))
     with pytest.raises(ValueError):
         _spmm(ints, np.ones(3, np.int64), np.empty(3, np.int64))
+
+
+def test_sigmoid_within_4_ulp_of_expit():
+    rng = np.random.default_rng(12)
+    z = np.concatenate(
+        [rng.normal(0.0, scale, 20_000) for scale in (0.1, 1.0, 5.0, 30.0)]
+        + [np.linspace(-40.0, 40.0, 10_001),
+           [0.0, -0.0, 1e-300, -708.0, -709.9, -710.0, -800.0, 800.0, -1e30, 1e30]]
+    )
+    for dtype in (np.float64, np.float32):
+        zz = z.astype(dtype)
+        with np.errstate(over="ignore"):
+            got = gnn._sigmoid(zz, np.empty(len(zz)))
+        want = expit(zz.astype(np.float64))
+        # both lie in [0, 1], where the int64 view counts ULPs
+        assert np.max(np.abs(got.view(np.int64) - want.view(np.int64))) <= 4
+
+
+def test_no_overflow_warning_outside_a_descent():
+    # weights this large put z far below -709, where exp(-z) overflows
+    g = generate_erdos_renyi(15, 0.3, seed=2)
+    q = build_qubo(ProblemKind.MAXCUT, g)
+    a_hat = renormalized_adjacency(g)
+    params = init_params(15, 6, 3, seed=2)
+    params.w1 *= 1e5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.min(forward(params, a_hat).p) == _P_EPS
+        backward(params, a_hat, q)
 
 
 @pytest.mark.parametrize("kind", list(ProblemKind))

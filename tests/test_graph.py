@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from cograd.graph import (
     Graph,
     GsetFormatError,
+    _renormalized_csr,
     generate_d_regular,
     generate_erdos_renyi,
     load_gset,
@@ -361,3 +362,32 @@ def test_renormalized_adjacency_bit_identical_on_regular_graph():
     got, want = renormalized_adjacency(g), _reference_renormalized(g)
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def _renormalized_cases():
+    """Generated graphs, isolated nodes, n <= 2 and signed weights (each
+    augmented row sum positive, so Â is defined)."""
+    rng = np.random.default_rng(14)
+    signed = generate_erdos_renyi(50, 0.1, seed=6)
+    w = rng.uniform(-0.3, 2.0, signed.m)
+    w[:3] = [0.0, -0.25, 1e-3]
+    return [
+        Graph(0),
+        Graph(1),
+        Graph(2),
+        Graph(2, [(0, 1, -0.5)]),
+        Graph(7, [(0, 1, 2.0), (1, 2, -0.25), (4, 5, 0.0)]),
+        Graph(signed.n + 4, zip(signed.edge_u, signed.edge_v, w)),
+        generate_d_regular(300, 3, seed=1),
+        generate_erdos_renyi(80, 0.2, seed=2),
+    ]
+
+
+@pytest.mark.parametrize("g", _renormalized_cases(), ids=repr)
+def test_renormalized_csr_has_the_arrays_of_renormalized_adjacency(g):
+    got, want = _renormalized_csr(g), renormalized_adjacency(g)
+    assert isinstance(want, sp.csr_array)
+    assert got.shape == want.shape == (g.n, g.n)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)

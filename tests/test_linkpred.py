@@ -1,10 +1,10 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from cograd.gnn import TrainConfig, TrainingDivergedError, default_dims
 from cograd.graph import (
@@ -220,7 +220,8 @@ def _reference_train_predictor(sample, full_n, cfg):
             y = np.concatenate([y, np.zeros(og.m)])
         m_in = a_known @ embed
         z = m_in @ w
-        s = np.clip(expit(np.sum(z[u] * z[v], axis=1)), 1e-12, 1.0 - 1e-12)
+        # the sigmoid as train_predictor computes it, 1 / (1 + exp(-x))
+        s = np.clip(1.0 / (1.0 + np.exp(-np.sum(z[u] * z[v], axis=1))), 1e-12, 1.0 - 1e-12)
         loss = float(-np.mean(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)))
         best = min(best, loss)
         trace.append(best)
@@ -423,3 +424,18 @@ def test_export_soft_adjacency_lists_stored_pairs_in_order():
     text = export_soft_adjacency(soft)
     assert text == "i,j,prob\n0,2,1.0\n0,3,0.5\n1,4,0.25\n"
     assert export_soft_adjacency(soft, 1e-4).splitlines()[3] == "1,2,0.0002"
+
+
+def test_decoder_raises_no_overflow_warning():
+    # codes this large put some z_u . z_v far below -709, where the
+    # sigmoid's exp(-x) overflows and the probability is exactly 0
+    g, s = _sample()
+    rng = np.random.default_rng(9)
+    params = PredictorParams(embed=rng.normal(0.0, 1e3, (g.n, 4)), w=rng.normal(size=(4, 3)))
+    iu, iv = np.triu_indices(g.n, k=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = pair_scores(params, s, np.column_stack([iu, iv]))
+        predict_adjacency(params, s)
+        reconstruction_bce(params, s)
+    assert np.any(scores == 0.0) and np.any(scores == 1.0)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cograd.graph import Graph, generate_erdos_renyi
 from cograd.qubo import (
@@ -268,3 +269,37 @@ def test_entries_keep_explicit_zeros():
                          (2, 2): 0.0, (3, 3): -1.0, (1, 2): -1.0}
     assert build_qubo(ProblemKind.MAXCUT, Graph(3, [(0, 1)])).entries == {
         (0, 1): 1.0, (0, 0): -1.0, (1, 1): -1.0}
+
+
+def _scipy_offdiag(q):
+    """Q's off-diagonal part, both triangles, rebuilt from ``entries`` as a
+    scipy CSR array."""
+    upper = [(i, j, c) for (i, j), c in q.entries.items() if i != j]
+    i = np.array([e[0] for e in upper], dtype=np.int64)
+    j = np.array([e[1] for e in upper], dtype=np.int64)
+    c = np.array([e[2] for e in upper], dtype=np.float64)
+    return sp.csr_array(
+        (np.concatenate([c, c]), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(q.n, q.n),
+    )
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+@pytest.mark.parametrize("g", _qubo_graphs(), ids=repr)
+def test_value_and_gradient_bit_identical_to_scipy_product(kind, g):
+    # both constructors: build_qubo and the dict one, through the loop
+    for q in (build_qubo(kind, g, 3.7), _reference_qubo(kind, g, 3.7)):
+        off = _scipy_offdiag(q)
+        # the same entries in the same order; the index dtype, which scipy
+        # picks from its inputs, does not change a product
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(q._offdiag, name), getattr(off, name))
+        diag = np.zeros(q.n)
+        for (i, j), c in q.entries.items():
+            if i == j:
+                diag[i] = c
+        rng = np.random.default_rng(g.n + 1)
+        for x in (rng.random(g.n), rng.integers(0, 2, g.n).astype(float), np.ones(g.n)):
+            qx = off @ x
+            assert q.value(x) == float(x @ qx + diag @ x + q.offset)
+            assert q.gradient(x).tobytes() == (2.0 * qx + diag).tobytes()

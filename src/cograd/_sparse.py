@@ -61,10 +61,6 @@ class Csr(NamedTuple):
     data: np.ndarray
     shape: tuple[int, int]
 
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
-
 
 def index_dtype(count: int) -> type:
     """The index dtype scipy picks for CSR arrays that must count to

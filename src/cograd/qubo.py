@@ -167,7 +167,7 @@ class QuboMatrix:
         return np.add(out, self._diag, out=out)
 
     def __repr__(self) -> str:
-        nnz = len(self._diag_nodes) + self._offdiag.nnz // 2
+        nnz = len(self._diag_nodes) + len(self._offdiag.data) // 2
         return f"QuboMatrix(n={self.n}, nnz={nnz}, offset={self.offset:g})"
 
 

@@ -8,6 +8,7 @@ a compressed sparse row adjacency, and the weighted degree vector.
 from __future__ import annotations
 
 import gzip
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -35,6 +36,8 @@ __all__ = [
 
 
 _INT64 = np.iinfo(np.int64)
+# node pairs per draw in generate_erdos_renyi: 2 MiB of uniforms
+_PAIR_BLOCK = 1 << 18
 
 
 class GsetFormatError(ValueError):
@@ -50,7 +53,8 @@ class Graph:
         Number of nodes, labeled 0..n-1. Isolated nodes are legal.
     edges : iterable of (u, v) or (u, v, w)
         Undirected edges with 0-based endpoints; weight defaults to 1.0.
-        Self-loops, duplicate undirected edges and non-finite weights are
+        Self-loops, duplicate undirected edges, non-finite weights and
+        endpoints that are not integers (1.0 is one, 1.5 is not) are
         rejected.
 
     Attributes
@@ -72,8 +76,8 @@ class Graph:
                 w = 1.0
             else:
                 u, v, w = e
-            us.append(int(u))
-            vs.append(int(v))
+            us.append(u)
+            vs.append(v)
             ws.append(float(w))
         self._build(n, *_endpoint_arrays(n, us, vs), np.asarray(ws, dtype=np.float64))
 
@@ -226,20 +230,41 @@ def _check_endpoints(n: int, u: np.ndarray, v: np.ndarray) -> None:
 
 
 def _endpoint_arrays(n: int, u, v) -> tuple[np.ndarray, np.ndarray]:
-    """``u`` and ``v`` as int64 arrays. An index that int64 cannot hold is
-    out of range for every n, so it raises that error, unless an earlier
-    edge is out of range or a self-loop."""
+    """``u`` and ``v`` as int64 arrays. An endpoint with a fraction (NaN
+    included) is no node, and one that int64 cannot hold is out of range
+    for every n: the first edge, in input order, with such an endpoint
+    raises, unless an earlier edge is out of range or a self-loop."""
     try:
-        return np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
-    except OverflowError:
-        u, v = list(u), list(v)
-        big = [i for i, e in enumerate(zip(u, v))
-               if not all(_INT64.min <= x <= _INT64.max for x in e)]
-        if not big:
-            raise
-    i = big[0]
-    _check_endpoints(n, np.asarray(u[:i], dtype=np.int64), np.asarray(v[:i], dtype=np.int64))
-    raise ValueError(f"edge ({u[i]},{v[i]}) out of range for n={n}")
+        with np.errstate(invalid="ignore"):
+            iu, iv = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    except (OverflowError, ValueError):
+        pass
+    else:
+        # the cast truncates fractions and wraps what int64 cannot hold
+        if np.array_equal(iu, u) and np.array_equal(iv, v):
+            return iu, iv
+    u, v = list(u), list(v)
+    for i, (a, b) in enumerate(zip(u, v)):
+        fault = _index_fault(a, n) or _index_fault(b, n)
+        if fault:
+            _check_endpoints(
+                n, np.asarray(u[:i], dtype=np.int64), np.asarray(v[:i], dtype=np.int64)
+            )
+            raise ValueError(f"edge ({a},{b}) {fault}")
+    # every pair is sound; lists of unequal length are the caller's to reject
+    return np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+
+
+def _index_fault(x, n: int) -> str | None:
+    """Why ``x`` is no int64 node index, or None when it is one."""
+    try:
+        if x != int(x):
+            return "has an endpoint that is not an integer"
+    except OverflowError:  # int(±inf)
+        return f"out of range for n={n}"
+    except (TypeError, ValueError):  # int(nan), or not a number
+        return "has an endpoint that is not an integer"
+    return None if _INT64.min <= x <= _INT64.max else f"out of range for n={n}"
 
 
 def _format_weight(w: float) -> str:
@@ -276,7 +301,9 @@ def parse_gset(text: str | bytes) -> Graph:
     if n < 0 or m < 0:
         raise GsetFormatError("line 1: n and m must be nonnegative")
 
-    edges: list[tuple[int, int, float]] = []
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[float] = []
     seen: set[tuple[int, int]] = set()
     lineno = 1
     for raw in lines[1:]:
@@ -293,7 +320,7 @@ def parse_gset(text: str | bytes) -> Graph:
             raise GsetFormatError(
                 f"line {lineno}: expected 'i j w', got {raw!r}"
             ) from None
-        if not np.isfinite(w):
+        if not math.isfinite(w):
             raise GsetFormatError(f"line {lineno}: weight must be finite, got {parts[2]!r}")
         if not (1 <= i <= n and 1 <= j <= n):
             raise GsetFormatError(f"line {lineno}: node index out of range 1..{n}")
@@ -303,12 +330,14 @@ def parse_gset(text: str | bytes) -> Graph:
         if (u, v) in seen:
             raise GsetFormatError(f"line {lineno}: duplicate edge ({i},{j})")
         seen.add((u, v))
-        edges.append((u, v, w))
-    if len(edges) != m:
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
+    if len(us) != m:
         raise GsetFormatError(
-            f"line {lineno}: header declares {m} edges, found {len(edges)}"
+            f"line {lineno}: header declares {m} edges, found {len(us)}"
         )
-    return Graph(n, edges)
+    return Graph.from_arrays(n, us, vs, ws)
 
 
 def write_gset(g: Graph) -> str:
@@ -375,9 +404,20 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    iu, iv = np.triu_indices(n, k=1)
-    mask = rng.random(len(iu)) < p
-    return Graph.from_arrays(n, iu[mask], iv[mask])
+    # one uniform per pair u < v in row-major order, drawn a block of rows
+    # at a time: the generator yields the same doubles in pieces as in one
+    # call, and memory stays linear in n
+    step = max(1, _PAIR_BLOCK // max(n, 1))
+    us, vs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for first in range(0, n, step):
+        rows = np.arange(first, min(first + step, n))
+        counts = n - 1 - rows
+        starts = np.cumsum(counts) - counts
+        kept = np.flatnonzero(rng.random(int(counts.sum())) < p)
+        row = np.searchsorted(starts, kept, side="right") - 1
+        us.append(rows[row])
+        vs.append(rows[row] + 1 + kept - starts[row])
+    return Graph.from_arrays(n, np.concatenate(us), np.concatenate(vs))
 
 
 def sample_observed_subgraph(g: Graph, fraction: float, seed: int) -> ObservedSample:

@@ -78,12 +78,12 @@ class SoftAdjacency:
         p = np.asarray(probs, dtype=np.float64)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError(f"probs must be square, got shape {p.shape}")
+        if not np.all((p >= 0.0) & (p <= 1.0)):
+            raise ValueError("probabilities must lie in [0, 1]")
         if not np.allclose(p, p.T):
             raise ValueError("probs must be symmetric")
         if np.any(np.diagonal(p) != 0.0):
             raise ValueError("diagonal must be zero")
-        if np.any(p < 0.0) or np.any(p > 1.0):
-            raise ValueError("probabilities must lie in [0, 1]")
         iu, iv = np.nonzero(np.triu(p, k=1))
         self._set(p.shape[0], iu, iv, p[iu, iv])
 

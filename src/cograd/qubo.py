@@ -5,7 +5,9 @@ H(x) = sum_ij x_i Q_ij x_j + offset over binary x, with constraints folded in
 as penalty terms. Diagonal entries carry the linear coefficients (x_i^2 = x_i
 on binaries); when H is evaluated on a relaxed vector p in [0,1]^n the
 diagonal is applied linearly, so H stays the multilinear extension of its
-binary values.
+binary values. A :class:`QuboMatrix` keeps Q as arrays laid out by a
+:class:`Graph` over its off-diagonal pairs: ``Graph`` alone sorts pairs
+into canonical order and CSR, and both QUBO constructors take its layout.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ class QuboMatrix:
     coefficient Q_ij; the monomial x_i * x_j therefore enters H with
     coefficient 2 * Q_ij for i < j and the diagonal enters linearly.
     ``penalty`` records the constraint coefficient used at build time
-    (0 for MaxCut). The form is stored as arrays: the diagonal and the
-    full symmetric off-diagonal part in CSR.
+    (0 for MaxCut). The form is stored as arrays: the diagonal, Q_ij on the
+    canonical pairs i < j of a :class:`Graph`, and the full symmetric
+    off-diagonal part in CSR with that graph's layout.
     """
 
     def __init__(
@@ -76,69 +79,42 @@ class QuboMatrix:
                 i, j = j, i
             key = (i, j)
             acc[key] = acc.get(key, 0.0) + float(c)
-        diag_nodes = np.asarray([i for i, j in acc if i == j], dtype=np.int64)
+        keys = np.array(list(acc), dtype=np.int64).reshape(-1, 2)
+        coeffs = np.fromiter(acc.values(), np.float64, len(acc))
+        bad = np.flatnonzero(~np.isfinite(coeffs))
+        if len(bad):
+            (i, j), c = keys[bad[0]], coeffs[bad[0]]
+            raise ValueError(f"entry ({i},{j}) must be finite, got {c}")
+        if not np.isfinite(offset):
+            raise ValueError(f"offset must be finite, got {offset}")
+        on_diag = keys[:, 0] == keys[:, 1]
+        diag_nodes = keys[on_diag, 0]
         diag = np.zeros(n, dtype=np.float64)
-        diag[diag_nodes] = [acc[(i, i)] for i in diag_nodes.tolist()]
-        upper = [(i, j, c) for (i, j), c in acc.items() if i != j]
-        rows = np.asarray([i for i, _, _ in upper], dtype=np.int64)
-        cols = np.asarray([j for _, j, _ in upper], dtype=np.int64)
-        vals = np.asarray([c for _, _, c in upper], dtype=np.float64)
-        # both directions of every pair, rows in order and each row's
-        # columns ascending, as scipy's coordinate-to-CSR conversion sorts
-        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-        order = np.lexsort((cols, rows))
-        idx = index_dtype(max(n, len(rows)))
-        indptr = np.zeros(n + 1, dtype=idx)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        offdiag = Csr(
-            indptr, cols[order].astype(idx), np.concatenate([vals, vals])[order], (n, n)
-        )
-        self._build(n, diag, diag_nodes, offdiag, offset, penalty)
+        diag[diag_nodes] = coeffs[on_diag]
+        g = Graph.from_arrays(n, *keys[~on_diag].T, coeffs[~on_diag])
+        self._build(g, g.edge_w, g.weights, diag, diag_nodes, offset, penalty)
 
-    @classmethod
-    def _from_arrays(
-        cls,
-        n: int,
-        diag: np.ndarray,
-        diag_nodes: np.ndarray,
-        offdiag: Csr,
-        offset: float,
-        penalty: float,
-    ) -> QuboMatrix:
-        """The form with diagonal ``diag`` (stored entries at ``diag_nodes``)
-        and the symmetric off-diagonal part ``offdiag``, explicit zeros kept."""
-        q = cls.__new__(cls)
-        q._build(n, diag, diag_nodes, offdiag, offset, penalty)
-        return q
-
-    def _build(self, n, diag, diag_nodes, offdiag, offset, penalty) -> None:
-        self.n = n
+    def _build(self, g, edge_c, csr_c, diag, diag_nodes, offset, penalty) -> QuboMatrix:
+        """Set and return the form with Q on g's edge k edge_c[k] (csr_c in
+        g's CSR order) and diagonal diag, stored at diag_nodes."""
+        self.n = n = g.n
         self.offset = float(offset)
         self.penalty = float(penalty)
         self._diag = diag
         self._diag_nodes = diag_nodes
+        self._u, self._v, self._c = g.edge_u, g.edge_v, edge_c
         # Full symmetric off-diagonal matrix, used by value and gradient.
-        self._offdiag = offdiag
+        idx = index_dtype(max(n, len(csr_c)))
+        self._offdiag = Csr(g.indptr.astype(idx), g.indices.astype(idx), csr_c, (n, n))
+        return self
 
     @cached_property
     def entries(self) -> dict[tuple[int, int], float]:
         """Canonical (i <= j) pairs -> Q_ij, explicit zeros included; built
         from the arrays on first access."""
-        a = self._offdiag
-        rows = np.repeat(np.arange(self.n), np.diff(a.indptr))
-        upper = a.indices > rows
-        out = dict(
-            zip(
-                zip(self._diag_nodes.tolist(), self._diag_nodes.tolist()),
-                self._diag[self._diag_nodes].tolist(),
-            )
-        )
-        out.update(
-            zip(
-                zip(rows[upper].tolist(), a.indices[upper].tolist()),
-                a.data[upper].tolist(),
-            )
-        )
+        d = self._diag_nodes.tolist()
+        out = dict(zip(zip(d, d), self._diag[self._diag_nodes].tolist()))
+        out.update(zip(zip(self._u.tolist(), self._v.tolist()), self._c.tolist()))
         return out
 
     def value(self, x: np.ndarray) -> float:
@@ -167,7 +143,7 @@ class QuboMatrix:
         return np.add(out, self._diag, out=out)
 
     def __repr__(self) -> str:
-        nnz = len(self._diag_nodes) + len(self._offdiag.data) // 2
+        nnz = len(self._diag_nodes) + len(self._c)
         return f"QuboMatrix(n={self.n}, nnz={nnz}, offset={self.offset:g})"
 
 
@@ -197,23 +173,26 @@ def build_qubo(kind: ProblemKind, g: Graph, penalty: float = 2.0) -> QuboMatrix:
     for bit, as adding the terms one by one into a dict from 0.0.
     """
     kind = ProblemKind(kind)
-    n, u, v, w = g.n, g.edge_u, g.edge_v, g.edge_w
-    # the diagonal terms of edge k go to u_k, then v_k
-    ends = np.column_stack([u, v]).ravel()
+    n, w = g.n, g.edge_w
     offset = 0.0
     if kind is ProblemKind.MAXCUT:
         penalty = 0.0
         # a sum from 0.0 stores 0.0 + c, which turns -0.0 into 0.0
-        coeff = 0.0 + g.weights
-        diag_nodes = np.flatnonzero(np.bincount(ends, minlength=n))
-        diag = np.bincount(ends, weights=np.repeat(-w, 2), minlength=n)
+        edge_c, csr_c = 0.0 + w, 0.0 + g.weights
+        # the degree sums each node's edges from 0.0 in edge order; negating
+        # each term instead would change no bit but the sign of a zero sum
+        diag_nodes = np.flatnonzero(np.diff(g.indptr))
+        diag = 0.0 - g.degree
     else:
         _check_penalty(kind, penalty)
         sign = -1.0 if kind is ProblemKind.MIS else 1.0
-        coeff = 0.0 + penalty * g.weights / 2.0
+        pw = penalty * w
+        edge_c = 0.0 + pw / 2.0
+        csr_c = 0.0 + penalty * g.weights / 2.0
         diag_nodes = np.arange(n)
         if kind is ProblemKind.MVC:
-            pw = penalty * w
+            # the diagonal terms of edge k go to u_k, then v_k
+            ends = np.column_stack([g.edge_u, g.edge_v]).ravel()
             diag = np.bincount(
                 np.concatenate([diag_nodes, ends]),
                 weights=np.concatenate([np.full(n, sign), np.repeat(-pw, 2)]),
@@ -223,12 +202,11 @@ def build_qubo(kind: ProblemKind, g: Graph, penalty: float = 2.0) -> QuboMatrix:
             offset = float(np.cumsum(np.concatenate([[0.0], pw]))[-1])
         else:
             diag = np.full(n, sign)
-    # the graph's CSR already holds both directions of every edge
-    idx = index_dtype(max(n, len(coeff)))
-    offdiag = Csr(g.indptr.astype(idx), g.indices.astype(idx), coeff, (n, n))
     # bincount over no terms counts in integers, hence the cast
     diag = diag.astype(np.float64, copy=False)
-    return QuboMatrix._from_arrays(n, diag, diag_nodes, offdiag, offset, penalty)
+    return QuboMatrix.__new__(QuboMatrix)._build(
+        g, edge_c, csr_c, diag, diag_nodes, offset, penalty
+    )
 
 
 def eval_hamiltonian(q: QuboMatrix, x: Iterable[float]) -> float:

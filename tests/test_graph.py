@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gzip
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,33 @@ def test_erdos_renyi_extremes():
     assert generate_erdos_renyi(10, 1.0, seed=0).m == 45
     g = generate_erdos_renyi(40, 0.3, seed=7)
     assert g == generate_erdos_renyi(40, 0.3, seed=7)
+
+
+@pytest.mark.parametrize(
+    "n, p, seed",
+    [(0, 0.5, 1), (1, 0.5, 2), (2, 1.0, 3), (2, 0.0, 3), (150, 0.02, 4),
+     (250, 0.012, 5), (600, 0.0, 6), (1000, 1.0, 7), (1500, 0.01, 8)],
+)
+def test_erdos_renyi_equals_one_draw_over_all_pairs(n, p, seed):
+    rng = np.random.default_rng(seed)
+    iu, iv = np.triu_indices(n, k=1)
+    mask = rng.random(len(iu)) < p
+    want = Graph.from_arrays(n, iu[mask], iv[mask])
+    got = generate_erdos_renyi(n, p, seed)
+    for a, b in zip(_graph_arrays(got), _graph_arrays(want)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_erdos_renyi_memory_is_linear_in_n():
+    # one uniform and one index pair per node pair took 108 MiB here
+    tracemalloc.start()
+    try:
+        g = generate_erdos_renyi(3000, 0.001, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m > 0
+    assert peak < 16 * 2**20
 
 
 def test_sample_observed_full_fraction_is_identity():
@@ -329,6 +357,41 @@ def test_constructors_reject_non_finite_weight(n, edges, message):
         with pytest.raises(ValueError) as err:
             Graph.from_arrays(n, *arrays)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (3, [(0.0, 1.2), (1.9, 2.7)], "edge (0.0,1.2) has an endpoint that is not an integer"),
+        (3, [(0, 1), (1, 2.5)], "edge (1,2.5) has an endpoint that is not an integer"),
+        (3, [(0, 1), (float("nan"), 2)], "edge (nan,2) has an endpoint that is not an integer"),
+        (3, [(0, 1.5), (0, 5)], "edge (0,1.5) has an endpoint that is not an integer"),
+        (3, [(0, float("inf"))], "edge (0,inf) out of range for n=3"),
+        (3, [(float("-inf"), 0.5)], "edge (-inf,0.5) out of range for n=3"),
+        # an earlier bad edge is still the one reported
+        (3, [(0, 5), (0, 1.5)], "edge (0,5) out of range for n=3"),
+        (3, [(1, 1), (0, 1.5)], "self-loop at node 1"),
+    ],
+)
+def test_constructors_reject_non_integral_endpoints(n, edges, message):
+    with pytest.raises(ValueError) as err:
+        Graph(n, edges)
+    assert str(err.value) == message
+    u, v = (list(c) for c in zip(*edges))
+    for arrays in ((u, v), (np.array(u), np.array(v))):
+        with pytest.raises(ValueError) as err:
+            Graph.from_arrays(n, *arrays)
+        assert str(err.value) == message
+
+
+def test_constructors_accept_integral_endpoints():
+    want = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    edges = [(0, 1.0), (np.int32(1), np.uint64(2)), (np.float64(2.0), np.int8(3))]
+    assert Graph(4, edges) == want
+    u, v = (list(c) for c in zip(*edges))
+    assert Graph.from_arrays(4, u, v) == want
+    assert Graph.from_arrays(4, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])) == want
+    assert Graph.from_arrays(4, np.array([0, 1, 2], dtype=np.uint8), [1, 2, 3]) == want
 
 
 def test_from_arrays_rejects_ragged_arrays():

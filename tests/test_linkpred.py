@@ -53,6 +53,8 @@ def test_soft_adjacency_validation():
         SoftAdjacency(np.array([[0.5, 0.2], [0.2, 0.0]]))
     with pytest.raises(ValueError, match="0, 1"):
         SoftAdjacency(np.array([[0.0, 1.2], [1.2, 0.0]]))
+    with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
+        SoftAdjacency(np.array([[0.0, np.nan], [np.nan, 0.0]]))
     with pytest.raises(ValueError, match="square"):
         SoftAdjacency(np.zeros((2, 3)))
 

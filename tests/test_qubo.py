@@ -188,6 +188,16 @@ def test_qubo_matrix_merges_and_validates():
     assert eval_hamiltonian(q, [1, 1, 1]) == 2 * 3.0 - 1.0 + 5.0
     with pytest.raises(ValueError, match="out of range"):
         QuboMatrix(2, {(0, 2): 1.0})
+    for entries, offset, message in [
+        ({(0, 1): np.nan}, 0.0, "entry (0,1) must be finite, got nan"),
+        ({(1, 1): np.inf}, 0.0, "entry (1,1) must be finite, got inf"),
+        # the sum of two finite entries overflows
+        ({(0, 1): 1e308, (1, 0): 1e308}, 0.0, "entry (0,1) must be finite, got inf"),
+        ({(0, 0): 1.0}, np.inf, "offset must be finite, got inf"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            QuboMatrix(2, entries, offset=offset)
+        assert str(err.value) == message
     with pytest.raises(ValueError, match="shape"):
         q.value(np.zeros(2))
 

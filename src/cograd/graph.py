@@ -301,9 +301,7 @@ def parse_gset(text: str | bytes) -> Graph:
     if n < 0 or m < 0:
         raise GsetFormatError("line 1: n and m must be nonnegative")
 
-    us: list[int] = []
-    vs: list[int] = []
-    ws: list[float] = []
+    us, vs, ws = [], [], []
     seen: set[tuple[int, int]] = set()
     lineno = 1
     for raw in lines[1:]:

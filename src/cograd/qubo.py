@@ -95,8 +95,9 @@ class QuboMatrix:
         self._build(g, g.edge_w, g.weights, diag, diag_nodes, offset, penalty)
 
     def _build(self, g, edge_c, csr_c, diag, diag_nodes, offset, penalty) -> QuboMatrix:
-        """Set and return the form with Q on g's edge k edge_c[k] (csr_c in
-        g's CSR order) and diagonal diag, stored at diag_nodes."""
+        """Set the form and return it: Q on ``g``'s canonical edge k is
+        ``edge_c[k]``, ``csr_c`` holds the same couplings in ``g``'s CSR
+        order, and the diagonal ``diag`` has stored entries at ``diag_nodes``."""
         self.n = n = g.n
         self.offset = float(offset)
         self.penalty = float(penalty)
@@ -179,8 +180,8 @@ def build_qubo(kind: ProblemKind, g: Graph, penalty: float = 2.0) -> QuboMatrix:
         penalty = 0.0
         # a sum from 0.0 stores 0.0 + c, which turns -0.0 into 0.0
         edge_c, csr_c = 0.0 + w, 0.0 + g.weights
-        # the degree sums each node's edges from 0.0 in edge order; negating
-        # each term instead would change no bit but the sign of a zero sum
+        # the sum of -w over each node's edges from 0.0 in edge order:
+        # rounding is symmetric, and 0.0 - s keeps a zero sum at +0.0
         diag_nodes = np.flatnonzero(np.diff(g.indptr))
         diag = 0.0 - g.degree
     else:

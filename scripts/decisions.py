@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Print a SHA-1 of each decision in a fixed set, to compare two commits.
+
+Usage:
+    python3 scripts/decisions.py > decisions.txt
+
+Each line is ``case sha1``: the case name, then the SHA-1 of its 0/1
+decision as int64 bytes. The run time goes to stderr. The script imports
+cograd from the ``src`` of the checkout it sits in, so a copy placed in
+another checkout runs that checkout's code, and ``diff`` of the two outputs
+names every decision that moved. It calls public functions only.
+
+Cases:
+
+* repair, with and without polish, of MIS and MVC from p = 0, 1/6, 5/6, 1
+  and a seeded uniform p, and ``dga`` + local search for all three
+  problems, on 3-regular graphs (n = 100, 800, 3000, 32,000), an
+  Erdos-Renyi graph (n = 250, mean degree 3), a 3000-node path in index
+  order, a path that runs up the even nodes and back down the odd ones, and
+  a 50 x 50 torus numbered row by row;
+* solve-large's shape: 3-regular n = 3000, seeds 0-1, 100 fixed epochs,
+  repair and polish, all three problems;
+* suite-small's four graphs at seed 0, epochs capped at 1000 with default
+  patience: ``gnn-solver`` and ``dga+local-search``, all three problems;
+* dfl-partial's shape: 3-regular n = 800, 80 % observed, 800 predictor and
+  150 solver epochs, seed 0, all three problems.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import time
+from functools import partial
+from pathlib import Path
+from typing import Callable, Iterator
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from cograd import (  # noqa: E402
+    Graph,
+    PipelineConfig,
+    ProblemKind,
+    TrainConfig,
+    build_qubo,
+    dga,
+    end_to_end_solve,
+    generate_d_regular,
+    generate_erdos_renyi,
+    one_flip_local_search,
+    project_and_repair,
+    train,
+)
+
+Case = tuple[str, Callable[[], np.ndarray]]
+
+
+def path(order) -> Graph:
+    """The path that visits the nodes of ``order`` in turn."""
+    order = np.asarray(order)
+    return Graph.from_arrays(len(order), order[:-1], order[1:])
+
+
+def torus(side: int) -> Graph:
+    """The side x side grid with wrap-around, numbered row by row."""
+    node = np.arange(side * side).reshape(side, side)
+    right, down = np.roll(node, -1, axis=1), np.roll(node, -1, axis=0)
+    return Graph.from_arrays(side * side, np.tile(node.ravel(), 2),
+                             np.concatenate([right.ravel(), down.ravel()]))
+
+
+REPAIR_GRAPHS = (
+    ("reg-100", lambda: generate_d_regular(100, 3, 0)),
+    ("reg-800", lambda: generate_d_regular(800, 3, 0)),
+    ("reg-3000", lambda: generate_d_regular(3000, 3, 0)),
+    ("reg-32000", lambda: generate_d_regular(32_000, 3, 0)),
+    ("er-250", lambda: generate_erdos_renyi(250, 3.0 / 249, 0)),
+    ("path", lambda: path(np.arange(3000))),
+    ("folded-path", lambda: path(np.r_[0:3000:2, 2999:0:-2])),
+    ("torus", lambda: torus(50)),
+)
+
+
+def fixed_budget(epochs: int, seed: int) -> TrainConfig:
+    return TrainConfig(max_epochs=epochs, patience=epochs, seed=seed)
+
+
+def gcn(kind: ProblemKind, g: Graph, cfg: TrainConfig) -> np.ndarray:
+    soft, _ = train(g, build_qubo(kind, g), cfg)
+    return project_and_repair(kind, g, soft, polish=True)
+
+
+def dga_local_search(kind: ProblemKind, g: Graph) -> np.ndarray:
+    return one_flip_local_search(kind, g, dga(kind, g))
+
+
+def dfl(g: Graph, kind: ProblemKind, seed: int) -> np.ndarray:
+    cfg = PipelineConfig(kind=kind, observe_fraction=0.8, seed=seed,
+                         predictor_cfg=fixed_budget(800, seed),
+                         solver_cfg=fixed_budget(150, seed))
+    return end_to_end_solve(g, cfg).assignment
+
+
+def suite_small_graphs(seed: int) -> Iterator[tuple[str, Graph]]:
+    """suite-small's instances, drawn as its set-up draws them."""
+    rng = np.random.default_rng(seed)
+    for name, n in (("reg-100", 100), ("er-150", 150), ("reg-200", 200), ("er-250", 250)):
+        gseed = int(rng.integers(2**31))
+        if name.startswith("reg"):
+            yield name, generate_d_regular(n, 3, gseed)
+        else:
+            yield name, generate_erdos_renyi(n, 3.0 / (n - 1), gseed)
+
+
+def cases() -> Iterator[Case]:
+    """Every case in print order, as (name, call returning the decision).
+    Each group's graph is built when the generator reaches it."""
+    for name, make in REPAIR_GRAPHS:
+        g = make()
+        ps = {"p=0": np.zeros(g.n), "p=1|6": np.full(g.n, 1 / 6),
+              "p=5|6": np.full(g.n, 5 / 6), "p=1": np.ones(g.n),
+              "p=uniform": np.random.default_rng(0).uniform(size=g.n)}
+        for kind in (ProblemKind.MIS, ProblemKind.MVC):
+            for label, p in ps.items():
+                for polish in (False, True):
+                    step = "polish" if polish else "repair"
+                    yield (f"{step}/{name}/{kind.value}/{label}",
+                           partial(project_and_repair, kind, g, p, polish=polish))
+        for kind in ProblemKind:
+            yield f"dga+local-search/{name}/{kind.value}", partial(dga_local_search, kind, g)
+    for seed in (0, 1):
+        g = generate_d_regular(3000, 3, seed)
+        for kind in ProblemKind:
+            yield (f"solve-large/seed={seed}/{kind.value}",
+                   partial(gcn, kind, g, fixed_budget(100, seed)))
+    for name, g in suite_small_graphs(0):
+        for kind in ProblemKind:
+            yield (f"suite-small/{name}/gnn-solver/{kind.value}",
+                   partial(gcn, kind, g, TrainConfig(max_epochs=1000, seed=0)))
+            yield (f"suite-small/{name}/dga+local-search/{kind.value}",
+                   partial(dga_local_search, kind, g))
+    g = generate_d_regular(800, 3, 0)
+    for kind in ProblemKind:
+        yield f"dfl-partial/seed=0/{kind.value}", partial(dfl, g, kind, 0)
+
+
+def digest(x: np.ndarray) -> str:
+    return hashlib.sha1(np.asarray(x, dtype=np.int64).tobytes()).hexdigest()
+
+
+def main() -> None:
+    start = time.perf_counter()
+    for name, decide in cases():
+        print(name, digest(decide()), flush=True)
+    print(f"# {time.perf_counter() - start:.1f} s", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

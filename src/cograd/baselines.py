@@ -1,9 +1,10 @@
 """Classical baselines: degree-based greedy placement and 1-flip local search.
 
 Both are deterministic, always return feasible assignments, and share the
-tie-breaking rules documented on :func:`dga`. Their loops run on arrays or
-on priority queues, with the decisions of the plain sequential scans they
-document.
+tie-breaking rules documented on :func:`dga`. MIS and MVC ``dga`` run on a
+priority queue, and MaxCut local search on kept gains; the MIS/MVC add and
+drop scans walk only the nodes eligible at their start. Each gives the
+decisions of the plain sequential scan it documents.
 """
 
 from __future__ import annotations
@@ -107,9 +108,10 @@ def one_flip_local_search(
     The result is that of the plain scan, bit for bit, at O(n + m) work per
     scan:
 
-    * MIS and MVC: one scan flips the greedy independent set, in ascending
-      order, of the nodes whose closed neighbourhood is all 0 (MIS) or all
-      1 (MVC) at its start, and a second scan would find nothing.
+    * MIS and MVC: a flip never makes another node eligible, so one scan
+      (:func:`greedy_flip`) walks only the nodes whose closed
+      neighbourhood is all 0 (MIS) or all 1 (MVC) at its start, and a
+      second scan would find nothing.
     * MaxCut: each node's gain is kept, and a flip updates only the
       flipped node and its neighbours. The scan jumps to the next node
       whose gain is not below its rounding margin, and one whose gain lies
@@ -138,54 +140,25 @@ def greedy_flip(g: Graph, x: np.ndarray, value: int, descending: bool = False) -
     redundant ones (value 1).
 
     A flip makes v's neighbours ineligible and no node becomes eligible, so
-    the scan flips the greedy independent set, in scan order, of the nodes
-    eligible at its start. That set is computed in rounds (Blelloch,
-    Fineman & Shun, SPAA 2012): an undecided node whose undecided
-    neighbours all come later in the scan is picked, and its undecided
-    neighbours are then excluded. Each node counts its undecided earlier
-    neighbours, and only an excluded node's later neighbours are recounted,
-    so the work is O(n + m) whatever the number of rounds.
+    only the nodes eligible at the start are walked. Each one still
+    eligible when reached is flipped, and its neighbours are struck off.
     """
-    slot = np.empty(g.n, dtype=np.int64)
-    undecided = x == value
-    other = ~undecided
-    undecided[g.edge_u[other[g.edge_v]]] = False
-    undecided[g.edge_v[other[g.edge_u]]] = False
-    both = undecided[g.edge_u] & undecided[g.edge_v]
-    later = (g.edge_u if descending else g.edge_v)[both]
-    blockers = np.bincount(later, minlength=g.n)
-    roots = np.flatnonzero(undecided & (blockers == 0))
-    while roots.size:
-        x[roots] = 1 - value
-        undecided[roots] = False
-        nbrs = g.indices[_row_entries(g, roots)[1]]
-        out, _ = _counted(nbrs[undecided[nbrs]], slot)
-        undecided[out] = False
-        lens, entries = _row_entries(g, out)
-        src, nbrs = np.repeat(out, lens), g.indices[entries]
-        keep = undecided[nbrs] & ((nbrs < src) if descending else (nbrs > src))
-        freed, times = _counted(nbrs[keep], slot)
-        blockers[freed] -= times
-        roots = freed[blockers[freed] == 0]
-
-
-def _counted(nodes: np.ndarray, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``nodes`` and how often each occurs, in O(len(nodes))
-    time; ``slot`` is scratch space of one entry per node. Each node's
-    slot ends up naming one of its positions, which stands for them all."""
-    slot[nodes] = np.arange(len(nodes))
-    times = np.bincount(slot[nodes], minlength=len(nodes))
-    first = np.flatnonzero(times)
-    return nodes[first], times[first]
-
-
-def _row_entries(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row lengths of ``nodes`` and their CSR entry indices, row after row."""
-    starts = g.indptr[nodes]
-    lens = g.indptr[nodes + 1] - starts
-    ends = np.cumsum(lens)
-    total = int(ends[-1]) if lens.size else 0
-    return lens, np.repeat(starts - ends + lens, lens) + np.arange(total)
+    eligible = x == value
+    other = ~eligible
+    eligible[g.edge_u[other[g.edge_v]]] = False
+    eligible[g.edge_v[other[g.edge_u]]] = False
+    order = np.flatnonzero(eligible)
+    if not order.size:
+        return
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    live = eligible.tolist()
+    flips = []
+    for v in order[::-1].tolist() if descending else order.tolist():
+        if live[v]:
+            flips.append(v)
+            for u in indices[indptr[v] : indptr[v + 1]]:
+                live[u] = False
+    x[flips] = 1 - value
 
 
 def _maxcut_one_flip(g: Graph, x: np.ndarray) -> np.ndarray:

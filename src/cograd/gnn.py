@@ -179,22 +179,29 @@ class TrainConfig:
     d1: int | None = None
 
     def __post_init__(self):
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be at least 1")
+        if not _count(self.max_epochs):
+            raise ValueError(
+                f"max_epochs must be at least 1 and a whole number, got {self.max_epochs!r}"
+            )
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
+        if not _count(self.patience):
+            raise ValueError(
+                f"patience must be at least 1 and a whole number, got {self.patience!r}"
+            )
         if not 0 <= self.tolerance < np.inf:
             raise ValueError("tolerance must be nonnegative and finite")
-        for d in (self.d0, self.d1):
-            if d is not None and not (
-                isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 1
-            ):
-                raise ValueError(
-                    "embedding dims must be at least 1 and whole numbers, "
-                    f"got d0={self.d0!r}, d1={self.d1!r}"
-                )
+        if not all(d is None or _count(d) for d in (self.d0, self.d1)):
+            raise ValueError(
+                "embedding dims must be at least 1 and whole numbers, "
+                f"got d0={self.d0!r}, d1={self.d1!r}"
+            )
+
+
+def _count(x) -> bool:
+    """Whether x is a whole number of at least 1: an int or numpy integer,
+    not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
 
 
 def default_dims(n: int) -> tuple[int, int]:

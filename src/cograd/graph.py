@@ -268,6 +268,9 @@ def _index_fault(x, n: int) -> str | None:
 
 
 def _format_weight(w: float) -> str:
+    """A number as Gset and coordinate text write it: whole values without
+    a point, others by the shortest round-trip repr. The float cast keeps
+    numpy 2 from writing a numpy float as ``np.float64(0.5)``."""
     if w == int(w):
         return str(int(w))
     return repr(float(w))

@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from ._sparse import Csr, index_dtype, spmm
-from .graph import Graph
+from .graph import Graph, _format_weight
 
 __all__ = [
     "BinaryAssignment",
@@ -75,6 +75,8 @@ class QuboMatrix:
         for (i, j), c in entries.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"entry ({i},{j}) out of range for n={n}")
+            if i != int(i) or j != int(j):
+                raise ValueError(f"entry ({i},{j}) has an index that is not an integer")
             if i > j:
                 i, j = j, i
             key = (i, j)
@@ -304,16 +306,10 @@ def brute_force_optimum(kind: ProblemKind, g: Graph) -> tuple[np.ndarray, float]
 def export_coordinate_text(q: QuboMatrix) -> str:
     """Coordinate-list text form: header ``n offset`` then ``i j coeff`` lines
     for the canonically stored (i <= j) entries, sorted."""
-    lines = [f"{q.n} {_fmt(q.offset)}"]
+    lines = [f"{q.n} {_format_weight(q.offset)}"]
     for (i, j) in sorted(q.entries):
-        lines.append(f"{i} {j} {_fmt(q.entries[(i, j)])}")
+        lines.append(f"{i} {j} {_format_weight(q.entries[(i, j)])}")
     return "\n".join(lines) + "\n"
-
-
-def _fmt(c: float) -> str:
-    if c == int(c):
-        return str(int(c))
-    return repr(c)
 
 
 def _as_binary(x: Iterable[float], n: int) -> np.ndarray:

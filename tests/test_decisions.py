@@ -7,6 +7,10 @@ test here requires equal arrays, on any finite weights.
 
 from __future__ import annotations
 
+import importlib.util
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +22,12 @@ from cograd.graph import Graph, generate_d_regular, generate_erdos_renyi
 from cograd.qubo import ProblemKind, build_qubo, is_feasible, objective
 
 MAXCUT, MIS, MVC = ProblemKind.MAXCUT, ProblemKind.MIS, ProblemKind.MVC
+
+_SPEC = importlib.util.spec_from_file_location(
+    "decisions", Path(__file__).resolve().parent.parent / "scripts" / "decisions.py"
+)
+decisions = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(decisions)
 
 
 def _reference_flip_improves(kind, g, x, v):
@@ -148,13 +158,28 @@ def test_decisions_match_the_sequential_loops(case):
     _assert_all_match(*case)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_decisions_match_on_a_large_regular_graph(seed):
-    g = generate_d_regular(3000, 3, seed)
+# Shapes whose scan order follows long chains of neighbours, as the script
+# builds them. Relabelling a path in reverse gives the same graph, so the
+# second path runs up the even nodes and back down the odd ones: a chain
+# against either scan direction.
+_CHAINS = {name: make for name, make in decisions.REPAIR_GRAPHS
+           if name in ("path", "folded-path", "torus")}
+
+
+@pytest.mark.parametrize("case", [0, 1, *_CHAINS])
+def test_decisions_match_on_a_large_regular_graph(case):
+    """3-regular n = 3000 at seeds 0 and 1, from its trained p too, and the
+    chain shapes, from p = 0, p = 1 and a seeded uniform p."""
+    trained = case in (0, 1)
+    g = generate_d_regular(3000, 3, case) if trained else _CHAINS[case]()
+    seed = case if trained else 0
     rng = np.random.default_rng(seed)
     for kind in ProblemKind:
-        soft, _ = train(g, build_qubo(kind, g), TrainConfig(max_epochs=100, patience=100, seed=seed))
-        for p in (soft, np.zeros(g.n), np.ones(g.n), rng.uniform(size=g.n)):
+        ps = [np.zeros(g.n), np.ones(g.n), rng.uniform(size=g.n)]
+        if trained:
+            cfg = TrainConfig(max_epochs=100, patience=100, seed=seed)
+            ps.insert(0, train(g, build_qubo(kind, g), cfg)[0])
+        for p in ps:
             x0 = _reference_repair(kind, g, p)
             assert np.array_equal(project_and_repair(kind, g, p), x0)
             want = _reference_local_search(kind, g, x0)
@@ -213,3 +238,15 @@ def test_bool_and_float_binaries_are_accepted():
     assert is_feasible(MIS, _EDGE, np.array([True, False]))
     assert objective(MAXCUT, _EDGE, [0.0, 1.0]) == 1.0
     assert list(one_flip_local_search(MVC, _EDGE, [1.0, 1.0])) == [0, 1]
+
+
+def test_decisions_script_prints_one_line_per_case():
+    """scripts/decisions.py: its names are unique words, and its first case
+    hashes the sequential repair."""
+    names = [name for name, _ in decisions.cases()]
+    assert len(names) == len(set(names)) and all(re.fullmatch(r"\S+", n) for n in names)
+    name, decide = next(decisions.cases())
+    assert name == "repair/reg-100/mis/p=0"
+    want = _reference_repair(MIS, generate_d_regular(100, 3, 0), np.zeros(100))
+    assert re.fullmatch("[0-9a-f]{40}", decisions.digest(decide()))
+    assert decisions.digest(decide()) == decisions.digest(want)

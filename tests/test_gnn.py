@@ -605,6 +605,19 @@ def test_train_config_validation():
         TrainConfig(tolerance=-1e-9)
 
 
+@pytest.mark.parametrize("field", ["max_epochs", "patience"])
+@pytest.mark.parametrize("value", [2.5, 3.0, np.float64(4.0), True, "5", None])
+def test_train_config_rejects_non_integral_counts(field, value):
+    with pytest.raises(ValueError) as err:
+        TrainConfig(**{field: value})
+    assert str(err.value) == f"{field} must be at least 1 and a whole number, got {value!r}"
+
+
+def test_train_config_accepts_integral_counts():
+    cfg = TrainConfig(max_epochs=np.int64(3), patience=np.int32(2))
+    assert (cfg.max_epochs, cfg.patience) == (3, 2)
+
+
 @pytest.mark.parametrize("field", ["learning_rate", "tolerance"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_train_config_rejects_non_finite(field, value):

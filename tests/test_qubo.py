@@ -202,6 +202,22 @@ def test_qubo_matrix_merges_and_validates():
         q.value(np.zeros(2))
 
 
+@pytest.mark.parametrize(("entries", "message"), [
+    ({(0.5, 1): 1.0, (1.7, 1.7): 2.0}, "entry (0.5,1) has an index that is not an integer"),
+    ({(0, 1): 1.0, (2, np.float64(1.5)): 2.0}, "entry (2,1.5) has an index that is not an integer"),
+    ({(np.float32(2.25), 0): 1.0}, "entry (2.25,0) has an index that is not an integer"),
+], ids=["float", "numpy-float64", "numpy-float32"])
+def test_qubo_matrix_rejects_non_integer_keys(entries, message):
+    with pytest.raises(ValueError) as err:
+        QuboMatrix(3, entries)
+    assert str(err.value) == message
+
+
+def test_qubo_matrix_accepts_integral_keys():
+    q = QuboMatrix(3, {(np.int64(2), 0): 1.0, (1.0, 1): 2.0, (np.int32(0), np.float64(1.0)): 3.0})
+    assert q.entries == {(0, 2): 1.0, (1, 1): 2.0, (0, 1): 3.0}
+
+
 def test_export_coordinate_text():
     g = Graph(3, [(0, 1), (1, 2)])
     q = build_qubo(ProblemKind.MVC, g, penalty=2.0)

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._version import __version__
 from .baselines import dga, one_flip_local_search
-from .gnn import TrainConfig, project_and_repair, train
+from .gnn import TrainConfig, _check_seed, project_and_repair, train
 from .graph import Graph, generate_d_regular, generate_erdos_renyi, load_gset
 from .pipeline import PipelineConfig, end_to_end_solve
 from .qubo import ProblemKind, brute_force_optimum, build_qubo, is_feasible, objective
@@ -105,7 +105,11 @@ class SuiteSpec:
         object.__setattr__(self, "problem", ProblemKind(self.problem))
         object.__setattr__(self, "instances", tuple(self.instances))
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        seeds = tuple(self.seeds)
+        for s in seeds:
+            _check_seed(s)
+        # Python ints, as the JSON rows need them
+        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}, expected one of {METHODS}")

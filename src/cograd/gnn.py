@@ -168,7 +168,8 @@ class SoftAssignment:
 @dataclass(frozen=True)
 class TrainConfig:
     """Gradient-descent schedule. The embedding dims ``d0`` and ``d1`` are
-    ints of at least 1, or None for :func:`default_dims` of the graph."""
+    ints of at least 1, or None for :func:`default_dims` of the graph;
+    ``seed`` is an int of at least 0."""
 
     max_epochs: int = 10_000
     learning_rate: float = 1e-2
@@ -196,12 +197,20 @@ class TrainConfig:
                 "embedding dims must be at least 1 and whole numbers, "
                 f"got d0={self.d0!r}, d1={self.d1!r}"
             )
+        _check_seed(self.seed)
 
 
-def _count(x) -> bool:
-    """Whether x is a whole number of at least 1: an int or numpy integer,
-    not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
+def _count(x, least: int = 1) -> bool:
+    """Whether x is a whole number of at least ``least``: an int or numpy
+    integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= least
+
+
+def _check_seed(seed) -> None:
+    """Raise ValueError unless ``seed`` is a whole number of at least 0, the
+    rule for every seed a run is given."""
+    if not _count(seed, least=0):
+        raise ValueError(f"seed must be at least 0 and a whole number, got {seed!r}")
 
 
 def default_dims(n: int) -> tuple[int, int]:

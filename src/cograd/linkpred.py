@@ -6,25 +6,26 @@ observed nodes carry training signal (observed edges as positives, sampled
 observed non-edges as negatives); embeddings of unobserved nodes are free
 parameters held near zero by weight decay.
 
-The prediction is sparse. Observed pairs keep their ground truth, since
-observed evidence is certain, and each unobserved node keeps only its
-highest-scoring partners, as many as the observed mean degree: about as
-many predicted edges as true ones, never an n x n matrix. Scores are
-computed in row blocks of bounded size, for the prediction and for the
-reconstruction loss alike.
+The prediction is a list of weighted pairs, never an n x n matrix.
+Observed pairs keep their ground truth, since observed evidence is certain,
+and each unobserved node keeps only its highest-scoring partners, as many
+as the observed mean degree: about as many predicted edges as true ones.
+Scores are computed in row blocks of bounded size, and the reconstruction
+loss sums its terms block by block, so memory grows with the nodes and the
+predicted pairs, not with their squares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from ._sparse import spmm
 from .gnn import TrainConfig, _carve, _dims, _draw_normal, _sigmoid, descend
-from .graph import Graph, ObservedSample, _renormalized_csr
+from .graph import Graph, ObservedSample, _check_endpoints, _endpoint_arrays
+from .graph import _renormalized_csr
 
 __all__ = [
     "PredictorParams",
@@ -67,63 +68,31 @@ class PredictorParams:
 class SoftAdjacency:
     """Symmetric edge probabilities with a zero diagonal, stored as pairs.
 
-    ``u``, ``v`` and ``w`` list the pairs with a nonzero probability as
-    coordinates (u < v, sorted by (u, v)); every other pair has probability
-    0. ``SoftAdjacency(probs)`` takes a dense symmetric matrix and keeps its
-    upper triangle; :meth:`from_pairs` takes the coordinates. ``probs`` is
-    the dense n x n view, built on first access.
+    ``SoftAdjacency(n, u, v, w)`` puts probability w[i] on pair (u[i], v[i])
+    and 0 on every other pair. Pairs may come in any order and orientation.
+    The attributes ``u``, ``v`` and ``w`` list the pairs with a nonzero
+    probability (u < v, sorted by (u, v)); no n x n matrix is ever built.
+    Raises ValueError for a probability outside [0, 1] (NaN included), then
+    for a pair out of range, a self-loop or a repeated pair, as
+    :meth:`Graph.from_arrays` does for edges.
     """
 
-    def __init__(self, probs: np.ndarray):
-        p = np.asarray(probs, dtype=np.float64)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValueError(f"probs must be square, got shape {p.shape}")
-        if not np.all((p >= 0.0) & (p <= 1.0)):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if not np.allclose(p, p.T):
-            raise ValueError("probs must be symmetric")
-        if np.any(np.diagonal(p) != 0.0):
-            raise ValueError("diagonal must be zero")
-        iu, iv = np.nonzero(np.triu(p, k=1))
-        self._set(p.shape[0], iu, iv, p[iu, iv])
-
-    @classmethod
-    def from_pairs(
-        cls,
+    def __init__(
+        self,
         n: int,
         u: Sequence[int] | np.ndarray,
         v: Sequence[int] | np.ndarray,
         w: Sequence[float] | np.ndarray,
-    ) -> SoftAdjacency:
-        """Probability w[i] on pair (u[i], v[i]), 0 on every other pair.
-
-        Pairs may come in any order and orientation. Raises ValueError for
-        a probability outside [0, 1] (NaN included), then for a pair out of
-        range, a self-loop or a repeated pair, as :meth:`Graph.from_arrays`
-        does for edges.
-        """
+    ):
         w = np.asarray(w, dtype=np.float64)
         if not np.all((w >= 0.0) & (w <= 1.0)):
             raise ValueError("probabilities must lie in [0, 1]")
         g = Graph.from_arrays(n, u, v, w)
-        soft = cls.__new__(cls)
-        soft._set(n, g.edge_u, g.edge_v, g.edge_w)
-        return soft
-
-    def _set(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
-        nonzero = w != 0.0
+        nonzero = g.edge_w != 0.0
         self.n = n
-        self.u = u[nonzero]
-        self.v = v[nonzero]
-        self.w = w[nonzero]
-
-    @cached_property
-    def probs(self) -> np.ndarray:
-        """Dense symmetric n x n matrix of the probabilities."""
-        p = np.zeros((self.n, self.n))
-        p[self.u, self.v] = self.w
-        p[self.v, self.u] = self.w
-        return p
+        self.u = g.edge_u[nonzero]
+        self.v = g.edge_v[nonzero]
+        self.w = g.edge_w[nonzero]
 
     def __repr__(self) -> str:
         return f"SoftAdjacency(n={self.n}, pairs={len(self.w)})"
@@ -360,7 +329,7 @@ def predict_adjacency(
         u = np.concatenate([u, cu])
         v = np.concatenate([v, cv])
         w = np.concatenate([w, _decode(z, cu, cv)])
-    return SoftAdjacency.from_pairs(n, u, v, w)
+    return SoftAdjacency(n, u, v, w)
 
 
 def threshold_adjacency(soft: SoftAdjacency, tau: float) -> Graph:
@@ -375,10 +344,16 @@ def pair_scores(
     params: PredictorParams, known: ObservedSample, pairs: np.ndarray
 ) -> np.ndarray:
     """Decoder probabilities sigma(z_i . z_j) for an array of (i, j) rows,
-    without the observed-evidence override."""
-    z = _encode(params, known)
-    pairs = np.asarray(pairs, dtype=np.int64)
-    return _decode(z, pairs[:, 0], pairs[:, 1])
+    without the observed-evidence override. Raises ValueError for pairs that
+    are not a (k, 2) array, then, in :meth:`Graph.from_arrays`'s words, for
+    the first pair with an endpoint that is no node or with equal endpoints.
+    """
+    pairs = np.asarray(pairs)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"pairs must have shape (k, 2), got {pairs.shape}")
+    u, v = _endpoint_arrays(params.full_n, pairs[:, 0], pairs[:, 1])
+    _check_endpoints(params.full_n, u, v)
+    return _decode(_encode(params, known), u, v)
 
 
 def reconstruction_bce(params: PredictorParams, known: ObservedSample) -> float:
@@ -386,8 +361,9 @@ def reconstruction_bce(params: PredictorParams, known: ObservedSample) -> float:
 
     Covers all kept-node pairs (edges and non-edges alike) with no override,
     so a perfectly reconstructing encoder scores near 0. The pairs are
-    scored in row blocks of bounded size, in row-major order, and the mean
-    is taken once over all of them. Deterministic.
+    scored in row blocks of bounded size, in row-major order, and each
+    block's sum joins a running total, so memory stays bounded however many
+    pairs there are. Deterministic.
     """
     kept = known.kept_nodes
     og = known.observed_graph
@@ -398,16 +374,14 @@ def reconstruction_bce(params: PredictorParams, known: ObservedSample) -> float:
     z = _encode(params, known)
     edge_keys = og.edge_u * k + og.edge_v
     cols = np.arange(k)
-    terms = np.empty(n_pairs)
-    at = 0
+    total = 0.0
     for block in _row_blocks(cols, k):
         bi, iv = np.nonzero(block[:, None] < cols)
         iu = block[bi]
         s = np.clip(_decode(z, kept[iu], kept[iv]), _S_EPS, 1.0 - _S_EPS)
         y = _in_sorted(edge_keys, iu * k + iv).astype(np.float64)
-        terms[at : at + len(s)] = y * np.log(s) + (1.0 - y) * np.log(1.0 - s)
-        at += len(s)
-    return float(-np.mean(terms))
+        total += float(np.sum(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)))
+    return -total / n_pairs
 
 
 def export_soft_adjacency(

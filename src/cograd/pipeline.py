@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .gnn import TrainConfig, project_and_repair, train
+from .gnn import TrainConfig, _check_seed, project_and_repair, train
 from .graph import Graph, sample_observed_subgraph
 from .linkpred import (
     _SOFT_EDGE_CUTOFF,
@@ -84,6 +84,7 @@ class PipelineConfig:
             raise ValueError("observe_fraction must be in (0, 1]")
         _check_lam(self.lam)
         _check_penalty(ProblemKind(self.kind), self.penalty)
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import re
 import threading
 from pathlib import Path
 
@@ -20,7 +21,9 @@ from cograd.bench import (
     relative_error,
     run_suite,
 )
+from cograd.gnn import TrainConfig
 from cograd.graph import Graph, generate_d_regular, write_gset
+from cograd.pipeline import PipelineConfig
 from cograd.qubo import ProblemKind, build_qubo
 from cograd.reference import GSET_BEST_KNOWN, GSET_SIZES, PUBLISHED_CUTS
 
@@ -179,6 +182,23 @@ def test_spec_validation():
         emit_report(BenchReport(rows=(), metadata={}), "yaml")
     with pytest.raises(ValueError, match="generator"):
         InstanceSpec("bad").load()
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None, np.float64(4.0)])
+def test_every_seed_is_checked_where_it_is_set(seed):
+    with pytest.raises(ValueError, match=f"seed .*got {re.escape(repr(seed))}"):
+        TrainConfig(seed=seed)
+    with pytest.raises(ValueError, match=f"seed .*got {re.escape(repr(seed))}"):
+        PipelineConfig(kind="mis", seed=seed)
+    with pytest.raises(ValueError, match=f"seed .*got {re.escape(repr(seed))}"):
+        SuiteSpec(problem="mis", instances=(), methods=("dga",), seeds=(0, seed))
+
+
+def test_suite_seeds_are_stored_as_python_ints():
+    spec = SuiteSpec(problem="mis", instances=(), methods=("dga",), seeds=(np.int64(3), 0))
+    assert spec.seeds == (3, 0)
+    assert all(type(s) is int for s in spec.seeds)
+    assert TrainConfig(seed=np.uint8(0)).seed == 0
 
 
 def test_solver_methods_feasible_rows():

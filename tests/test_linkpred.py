@@ -47,16 +47,10 @@ def test_known_graph_relabels_to_original_indices():
 
 
 def test_soft_adjacency_validation():
-    with pytest.raises(ValueError, match="symmetric"):
-        SoftAdjacency(np.array([[0.0, 0.2], [0.3, 0.0]]))
-    with pytest.raises(ValueError, match="diagonal"):
-        SoftAdjacency(np.array([[0.5, 0.2], [0.2, 0.0]]))
     with pytest.raises(ValueError, match="0, 1"):
-        SoftAdjacency(np.array([[0.0, 1.2], [1.2, 0.0]]))
+        SoftAdjacency(2, [0], [1], [1.2])
     with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
-        SoftAdjacency(np.array([[0.0, np.nan], [np.nan, 0.0]]))
-    with pytest.raises(ValueError, match="square"):
-        SoftAdjacency(np.zeros((2, 3)))
+        SoftAdjacency(2, [0], [1], [np.nan])
 
 
 def test_train_predictor_deterministic():
@@ -95,14 +89,15 @@ def test_predict_override_and_bounds():
     params = train_predictor(s, 20, _FAST)
     soft = predict_adjacency(params, s)
     assert soft.n == 20
-    p = soft.probs
-    assert np.allclose(p, p.T) and np.all(np.diagonal(p) == 0.0)
+    # one entry per pair, above the diagonal; every other pair weighs 0
+    assert np.all(soft.u < soft.v)
+    stored = {(int(a), int(b)): x for a, b, x in zip(soft.u, soft.v, soft.w)}
     kept = s.kept_nodes
     og = s.observed_graph
     for a in range(len(kept)):
         for b in range(a + 1, len(kept)):
-            exact = p[kept[a], kept[b]]
-            assert exact in (0.0, 1.0)
+            pair = (int(min(kept[a], kept[b])), int(max(kept[a], kept[b])))
+            exact = stored.get(pair, 0.0)
             assert exact == (1.0 if og.has_edge(a, b) else 0.0)
 
 
@@ -119,7 +114,9 @@ def test_unobserved_nodes_get_scores_in_range():
     soft = predict_adjacency(params, s)
     unobs = np.setdiff1d(np.arange(20), s.kept_nodes)
     assert len(unobs) > 0
-    sub = soft.probs[np.ix_(unobs, np.arange(20))]
+    at_unobs = np.isin(soft.u, unobs) | np.isin(soft.v, unobs)
+    assert np.any(at_unobs)
+    sub = soft.w[at_unobs]
     assert np.all((sub >= 0.0) & (sub <= 1.0))
 
 
@@ -138,7 +135,7 @@ def test_threshold_monotone_in_tau():
 
 
 def test_threshold_on_blank_soft_is_empty():
-    soft = SoftAdjacency(np.zeros((4, 4)))
+    soft = SoftAdjacency(4, [], [], [])
     assert threshold_adjacency(soft, 0.5).m == 0
 
 
@@ -173,10 +170,7 @@ def test_reconstruction_bce_decreases_with_training():
 
 
 def test_export_soft_adjacency_csv():
-    probs = np.zeros((3, 3))
-    probs[0, 1] = probs[1, 0] = 0.75
-    probs[1, 2] = probs[2, 1] = 5e-4
-    text = export_soft_adjacency(SoftAdjacency(probs))
+    text = export_soft_adjacency(SoftAdjacency(3, [0, 1], [1, 2], [0.75, 5e-4]))
     lines = text.strip().splitlines()
     assert lines[0] == "i,j,prob"
     assert lines[1] == "0,1,0.75"
@@ -284,30 +278,16 @@ def test_reconstruction_bce_equals_dense_label_formula():
         assert reconstruction_bce(params, s) == want
 
 
-def test_soft_adjacency_from_pairs_matches_dense_constructor():
-    rng = np.random.default_rng(0)
-    n = 9
-    probs = np.triu(rng.random((n, n)), k=1)
-    probs[probs < 0.5] = 0.0
-    probs[0, 3] = 1.0
-    probs = probs + probs.T
-    dense = SoftAdjacency(probs)
-    iu, iv = np.nonzero(np.triu(probs, k=1))
-    # any order and orientation, explicit zeros included
-    order = rng.permutation(len(iu))
-    u = np.concatenate([iv[order], [1]])
-    v = np.concatenate([iu[order], [2]])
-    w = np.concatenate([probs[iu, iv][order], [0.0]])
-    pairs = SoftAdjacency.from_pairs(n, u, v, w)
-    for a, b in [(dense, pairs), (pairs, dense)]:
-        assert a.n == b.n == n
-        assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
-        assert np.array_equal(a.w, b.w)
-    assert np.array_equal(dense.u, iu) and np.array_equal(dense.v, iv)
-    assert np.array_equal(dense.probs, probs)
-    assert np.array_equal(pairs.probs, probs)
-    empty = SoftAdjacency.from_pairs(4, [], [], [])
-    assert np.array_equal(empty.probs, np.zeros((4, 4)))
+def test_soft_adjacency_sorts_pairs_and_drops_zeros():
+    # any order and orientation; the explicit zero on (1, 2) is not stored
+    soft = SoftAdjacency(9, [5, 0, 8, 1, 7], [2, 3, 4, 2, 0], [0.6, 1.0, 0.9, 0.0, 0.55])
+    assert soft.n == 9
+    assert soft.u.tolist() == [0, 0, 2, 4]
+    assert soft.v.tolist() == [3, 7, 5, 8]
+    assert soft.w.tolist() == [1.0, 0.55, 0.6, 0.9]
+    assert soft.u.dtype == soft.v.dtype == np.int64 and soft.w.dtype == np.float64
+    empty = SoftAdjacency(4, [], [], [])
+    assert empty.n == 4 and len(empty.u) == len(empty.v) == len(empty.w) == 0
 
 
 @pytest.mark.parametrize(
@@ -324,13 +304,13 @@ def test_soft_adjacency_from_pairs_matches_dense_constructor():
 )
 def test_soft_adjacency_from_pairs_validation(u, v, w, fragment):
     with pytest.raises(ValueError, match=fragment):
-        SoftAdjacency.from_pairs(3, u, v, w)
+        SoftAdjacency(3, u, v, w)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_soft_adjacency_from_pairs_rejects_non_finite(bad):
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        SoftAdjacency.from_pairs(4, [0, 1, 2], [1, 2, 3], [0.5, bad, 0.5])
+        SoftAdjacency(4, [0, 1, 2], [1, 2, 3], [0.5, bad, 0.5])
 
 
 def _budget(sample, full_n):
@@ -414,15 +394,57 @@ def test_predict_adjacency_memory_is_far_below_dense():
     assert peak < n * n * 8 / 10, f"peak {peak / 1e6:.1f} MB"
 
 
+def test_reconstruction_bce_memory_is_bounded():
+    # 3200 observed nodes give 5.1 million observed pairs: one float64 per
+    # pair would be 41 MB, while the blocks and the codes take a few MiB
+    n = 4000
+    g = generate_d_regular(n, 3, seed=1)
+    s = sample_observed_subgraph(g, 0.8, seed=1)
+    params = train_predictor(s, n, TrainConfig(seed=0, max_epochs=5, patience=5))
+    tracemalloc.start()
+    try:
+        loss = reconstruction_bce(params, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < loss < np.inf
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize(
+    "pairs, fragment",
+    [
+        ([[-1, 0]], "out of range for n=20"),
+        ([[20, 0]], "out of range for n=20"),
+        ([[0, 2**70]], "out of range for n=20"),
+        ([[1.7, 0]], "not an integer"),
+        ([[0, np.nan]], "not an integer"),
+        ([[3, 3]], "self-loop at node 3"),
+        ([[0, 1, 2]], r"shape \(k, 2\)"),
+        ([0, 1], r"shape \(k, 2\)"),
+    ],
+)
+def test_pair_scores_rejects_pairs_that_are_not_node_pairs(pairs, fragment):
+    g, s = _sample()
+    rng = np.random.default_rng(0)
+    params = PredictorParams(embed=rng.normal(size=(g.n, 4)), w=rng.normal(size=(4, 3)))
+    with pytest.raises(ValueError, match=fragment):
+        pair_scores(params, s, pairs)
+    # sound pairs in any orientation, repeats included, are still scored
+    got = pair_scores(params, s, np.array([[0, 19], [19, 0], [0, 19]]))
+    assert got[0] == got[1] == got[2]
+    assert pair_scores(params, s, np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+
+
 @pytest.mark.parametrize("cutoff", [0.0, -1.0, float("nan")])
 def test_export_soft_adjacency_rejects_nonpositive_cutoff(cutoff):
-    soft = SoftAdjacency(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    soft = SoftAdjacency(2, [0], [1], [0.5])
     with pytest.raises(ValueError, match="cutoff"):
         export_soft_adjacency(soft, cutoff)
 
 
 def test_export_soft_adjacency_lists_stored_pairs_in_order():
-    soft = SoftAdjacency.from_pairs(5, [4, 3, 0, 2], [1, 0, 2, 1], [0.25, 0.5, 1.0, 2e-4])
+    soft = SoftAdjacency(5, [4, 3, 0, 2], [1, 0, 2, 1], [0.25, 0.5, 1.0, 2e-4])
     text = export_soft_adjacency(soft)
     assert text == "i,j,prob\n0,2,1.0\n0,3,0.5\n1,4,0.25\n"
     assert export_soft_adjacency(soft, 1e-4).splitlines()[3] == "1,2,0.0002"

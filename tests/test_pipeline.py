@@ -225,12 +225,10 @@ def test_combined_loss_rejects_non_finite_lambda(lam):
 
 
 def test_soft_adjacency_graph_cutoff():
-    probs = np.zeros((3, 3))
-    probs[0, 1] = probs[1, 0] = 0.9
-    probs[1, 2] = probs[2, 1] = 1e-4  # below cutoff, dropped
     from cograd.linkpred import SoftAdjacency
 
-    g = soft_adjacency_graph(SoftAdjacency(probs))
+    # the pair (1, 2) lies below the cutoff and is dropped
+    g = soft_adjacency_graph(SoftAdjacency(3, [0, 1], [1, 2], [0.9, 1e-4]))
     assert g.m == 1
     u, v, w = g.edges[0]
     assert (u, v) == (0, 1) and w == 0.9

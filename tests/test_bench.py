@@ -186,11 +186,12 @@ def test_spec_validation():
 
 @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None, np.float64(4.0)])
 def test_every_seed_is_checked_where_it_is_set(seed):
-    with pytest.raises(ValueError, match=f"seed .*got {re.escape(repr(seed))}"):
+    named = f"seed .*got {re.escape(repr(seed))}"
+    with pytest.raises(ValueError, match=named):
         TrainConfig(seed=seed)
-    with pytest.raises(ValueError, match=f"seed .*got {re.escape(repr(seed))}"):
+    with pytest.raises(ValueError, match=named):
         PipelineConfig(kind="mis", seed=seed)
-    with pytest.raises(ValueError, match=f"seed .*got {re.escape(repr(seed))}"):
+    with pytest.raises(ValueError, match=named):
         SuiteSpec(problem="mis", instances=(), methods=("dga",), seeds=(0, seed))
 
 

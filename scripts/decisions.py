@@ -23,7 +23,9 @@ Cases:
 * suite-small's four graphs at seed 0, epochs capped at 1000 with default
   patience: ``gnn-solver`` and ``dga+local-search``, all three problems;
 * dfl-partial's shape: 3-regular n = 800, 80 % observed, 800 predictor and
-  150 solver epochs, seed 0, all three problems.
+  150 solver epochs, seed 0, all three problems, at the default lambda and
+  again at lambda = 1e20 (``.../lambda=1e20``). Lambda must not reach the
+  solver, so each pair of decisions is equal.
 """
 
 from __future__ import annotations
@@ -97,8 +99,8 @@ def dga_local_search(kind: ProblemKind, g: Graph) -> np.ndarray:
     return one_flip_local_search(kind, g, dga(kind, g))
 
 
-def dfl(g: Graph, kind: ProblemKind, seed: int) -> np.ndarray:
-    cfg = PipelineConfig(kind=kind, observe_fraction=0.8, seed=seed,
+def dfl(g: Graph, kind: ProblemKind, seed: int, lam: float = 1.0) -> np.ndarray:
+    cfg = PipelineConfig(kind=kind, observe_fraction=0.8, lam=lam, seed=seed,
                          predictor_cfg=fixed_budget(800, seed),
                          solver_cfg=fixed_budget(150, seed))
     return end_to_end_solve(g, cfg).assignment
@@ -145,6 +147,9 @@ def cases() -> Iterator[Case]:
     g = generate_d_regular(800, 3, 0)
     for kind in ProblemKind:
         yield f"dfl-partial/seed=0/{kind.value}", partial(dfl, g, kind, 0)
+    for kind in ProblemKind:
+        yield (f"dfl-partial/seed=0/{kind.value}/lambda=1e20",
+               partial(dfl, g, kind, 0, lam=1e20))
 
 
 def digest(x: np.ndarray) -> str:

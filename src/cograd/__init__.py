@@ -52,7 +52,6 @@ from .multilinear import CoverageModel, coverage_multilinear_grads, multilinear_
 from .pipeline import (
     PipelineConfig,
     PipelineResult,
-    combined_loss,
     end_to_end_solve,
     soft_adjacency_graph,
 )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import time
 import zlib
 from dataclasses import asdict, dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 from ._version import __version__
 from .baselines import dga, one_flip_local_search
-from .gnn import TrainConfig, _check_seed, project_and_repair, train
+from .gnn import TrainConfig, _check_seed, _count, project_and_repair, train
 from .graph import Graph, generate_d_regular, generate_erdos_renyi, load_gset
 from .pipeline import PipelineConfig, end_to_end_solve
 from .qubo import ProblemKind, brute_force_optimum, build_qubo, is_feasible, objective
@@ -52,7 +53,11 @@ def relative_error(ours: float, best: float, maximize: bool = True) -> float:
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """One benchmark instance: a file on disk or a seeded generator."""
+    """One benchmark instance: a file on disk or a seeded generator.
+
+    ``n``, ``d`` and ``seed`` are whole numbers of at least 0 and ``p`` a
+    real number in [0, 1], none of them a bool; they are checked here, so a
+    bad config entry fails before any instance loads."""
 
     name: str
     path: str | None = None
@@ -61,6 +66,18 @@ class InstanceSpec:
     d: int = 0
     p: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        for key in ("n", "d"):
+            value = getattr(self, key)
+            if not _count(value, least=0):
+                raise ValueError(
+                    f"{key} must be at least 0 and a whole number, got {value!r}"
+                )
+        p = self.p
+        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0 <= p <= 1:
+            raise ValueError(f"p must be a real number in [0, 1], got {p!r}")
+        _check_seed(self.seed)
 
     def load(self) -> Graph:
         if self.path is not None:

@@ -2,9 +2,12 @@
 
 Subcommands: gen (d-regular generation), solve (GCN solver on one
 instance), dfl (end-to-end predict-then-optimize), oracle (brute force),
-bench (suite runner). solve, dfl and oracle run the matching bench method
-on one instance file. A JSON config file can supply any long flag by name
-("lambda", "observe", "polish", ...); explicit flags win over the file.
+bench (suite runner). solve and oracle print the row of the matching
+bench method on one instance file, plus its assignment in JSON. dfl prints
+that row in CSV; in JSON it prints the pipeline result
+(``PipelineResult.to_json``), which has no instance, method, epsilon or
+assignment. A JSON config file can supply any long flag by name ("lambda",
+"observe", "polish", ...); explicit flags win over the file.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 solver divergence.
 """
@@ -108,8 +111,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     solver_flags(dfl, pipeline=True)
     dfl.add_argument(
         "--lambda", dest="lam", type=float, default=1.0,
-        help="weight of the predictor's reconstruction loss; it adds a "
-        "constant to the reported losses and changes no decision",
+        help="weight of the predictor's reconstruction loss in the reported "
+        "combined_loss; the solver never sees it",
     )
     common(dfl)
 
@@ -210,7 +213,8 @@ def _cmd_gen(ns: argparse.Namespace) -> int:
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
-    """solve, dfl and oracle: one bench row for one instance file."""
+    """solve, dfl and oracle on one instance file: a bench row, except for
+    dfl in JSON, which prints the pipeline result."""
     _require(ns, "problem", "input")
     inst = InstanceSpec(name=Path(ns.input).name.partition(".")[0], path=ns.input)
     method = _METHODS[ns.command]

@@ -647,10 +647,12 @@ def train(
 
     The loss trace holds (epoch, loss, best_loss) rows, epochs starting at 1,
     and the stop reason. ``loss_offset`` is a constant added to every
-    reported loss (used when the training objective carries a frozen
-    auxiliary term); it shifts the trace without changing any descent
-    decision. Stopping follows :func:`descend`. The epoch runs in mixed
-    precision (see the module docstring); losses and p are float64.
+    loss, and no library caller passes it. It enters no gradient, but the
+    best-loss window and the best-p choice compare the shifted losses, so
+    an offset large enough to round away their differences in float64
+    changes the descent's decisions. Stopping follows :func:`descend`. The
+    epoch runs in mixed precision (see the module docstring); losses and p
+    are float64.
 
     Raises
     ------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -161,16 +162,30 @@ class Graph:
             for u, v, w in zip(self.edge_u, self.edge_v, self.edge_w)
         )
 
+    def _node(self, v) -> int:
+        """``v`` as an index; ValueError unless it is an integer (not a
+        bool) in [0, n)."""
+        try:
+            i = operator.index(v)
+        except TypeError:
+            i = -1
+        if isinstance(v, bool) or not 0 <= i < self.n:
+            raise ValueError(f"node {v!r} is not an integer in [0, {self.n})")
+        return i
+
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor indices of node v (read-only view)."""
+        v = self._node(v)
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def neighbor_weights(self, v: int) -> np.ndarray:
         """Weights aligned with :meth:`neighbors`."""
+        v = self._node(v)
         return self.weights[self.indptr[v] : self.indptr[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self.neighbors(u)
+        v = self._node(v)
         i = np.searchsorted(nbrs, v)
         return i < len(nbrs) and nbrs[i] == v
 

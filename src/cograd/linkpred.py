@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from ._sparse import spmm
-from .gnn import TrainConfig, _carve, _dims, _draw_normal, _sigmoid, descend
+from .gnn import _P_EPS, TrainConfig, _carve, _dims, _draw_normal, _sigmoid, descend
 from .graph import Graph, ObservedSample, _check_endpoints, _endpoint_arrays
 from .graph import _renormalized_csr
 
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 _WEIGHT_DECAY = 1e-4
-_S_EPS = 1e-12
 # predicted pairs below this probability carry no weight and are not exported
 _SOFT_EDGE_CUTOFF = 1e-3
 # entries of the score or pair arrays built at once, per block of rows
@@ -191,8 +190,8 @@ def train_predictor(
         np.sum(prod, axis=1, out=s)
         _sigmoid(s, out=s)
         # np.clip(s, eps, 1 - eps) bit for bit, without its Python wrapper
-        np.maximum(s, _S_EPS, out=s)
-        np.minimum(s, 1.0 - _S_EPS, out=s)
+        np.maximum(s, _P_EPS, out=s)
+        np.minimum(s, 1.0 - _P_EPS, out=s)
         # y log s + (1 - y) log(1 - s) at y in {0, 1}: the other term is a
         # signed zero (s is clipped inside (0, 1)), which adds nothing
         np.log(s[:m], out=terms[:m])
@@ -378,7 +377,7 @@ def reconstruction_bce(params: PredictorParams, known: ObservedSample) -> float:
     for block in _row_blocks(cols, k):
         bi, iv = np.nonzero(block[:, None] < cols)
         iu = block[bi]
-        s = np.clip(_decode(z, kept[iu], kept[iv]), _S_EPS, 1.0 - _S_EPS)
+        s = np.clip(_decode(z, kept[iu], kept[iv]), _P_EPS, 1.0 - _P_EPS)
         y = _in_sorted(edge_keys, iu * k + iv).astype(np.float64)
         total += float(np.sum(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)))
     return -total / n_pairs

@@ -6,10 +6,9 @@ predicted probabilities, descend the relaxed energy with the GCN solver,
 then repair and score the decision on the true graph it will be executed
 on. The predicted graph is sparse: the observed edges plus a budget of
 predicted partners per unobserved node, about as many edges as the true
-graph has, and no stage builds an n x n array. Lambda times the
-predictor's frozen reconstruction loss is a constant: it shifts the
-solver's reported loss and ``combined_loss`` but enters no gradient, so it
-changes no decision. The multilinear-extension utilities live in
+graph has, and no stage builds an n x n array. The solver never sees
+lambda: it only weighs the predictor's frozen reconstruction loss in the
+reported ``combined_loss``. The multilinear-extension utilities live in
 :mod:`cograd.multilinear` and are re-exported here.
 """
 
@@ -34,7 +33,6 @@ from .multilinear import CoverageModel, coverage_multilinear_grads, multilinear_
 from .qubo import (
     BinaryAssignment,
     ProblemKind,
-    QuboMatrix,
     _check_penalty,
     build_qubo,
     eval_hamiltonian,
@@ -47,16 +45,10 @@ __all__ = [
     "PipelineResult",
     "CoverageModel",
     "end_to_end_solve",
-    "combined_loss",
     "soft_adjacency_graph",
     "multilinear_value",
     "coverage_multilinear_grads",
 ]
-
-
-def _check_lam(lam: float) -> None:
-    if not 0.0 <= lam < np.inf:
-        raise ValueError("lambda coefficient must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -65,9 +57,8 @@ class PipelineConfig:
 
     ``seed`` drives the observation sampling; the predictor and solver carry
     their own seeds inside their configs. ``lam`` weighs the predictor's
-    reconstruction loss, a constant once the predictor is trained: it is
-    added to the solver's reported loss and to ``combined_loss``, enters no
-    gradient and changes no decision.
+    reconstruction loss in the reported ``combined_loss`` only; the solver
+    never sees it, so it changes no decision.
     """
 
     kind: ProblemKind
@@ -82,7 +73,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0.0 < self.observe_fraction <= 1.0:
             raise ValueError("observe_fraction must be in (0, 1]")
-        _check_lam(self.lam)
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError("lambda coefficient must be nonnegative and finite")
         _check_penalty(ProblemKind(self.kind), self.penalty)
         _check_seed(self.seed)
 
@@ -125,20 +117,11 @@ def soft_adjacency_graph(soft: SoftAdjacency) -> Graph:
     return Graph.from_arrays(soft.n, soft.u[keep], soft.v[keep], soft.w[keep])
 
 
-def combined_loss(
-    p, q_pred: QuboMatrix, recon_bce: float, lam: float
-) -> float:
-    """Relaxed energy on the predicted QUBO plus lam times the predictor's
-    reconstruction loss; lam must be nonnegative and finite."""
-    _check_lam(lam)
-    return eval_hamiltonian(q_pred, np.asarray(p)) + lam * recon_bce
-
-
 def end_to_end_solve(g_true: Graph, cfg: PipelineConfig) -> PipelineResult:
     """Observe, predict, optimize on the prediction, execute on the truth.
 
     With full observation every pair is observed, so the predicted graph is
-    the true one, weights included, and at lam = 0 the result is
+    the true one, weights included, and at any lam the result is
     bit-identical to the standalone solver under the same solver seed. The
     predictor is then trained only to report its reconstruction loss
     ``l_obj``; a graph with no edge leaves it nothing to learn, so none is
@@ -159,9 +142,7 @@ def end_to_end_solve(g_true: Graph, cfg: PipelineConfig) -> PipelineResult:
     else:
         g_pred = g_true
     q_pred = build_qubo(kind, g_pred, cfg.penalty)
-    soft_assignment, _trace = train(
-        g_pred, q_pred, cfg.solver_cfg, loss_offset=cfg.lam * l_obj
-    )
+    soft_assignment, _trace = train(g_pred, q_pred, cfg.solver_cfg)
     x = project_and_repair(kind, g_true, soft_assignment, polish=cfg.polish)
     h_qubo = eval_hamiltonian(q_pred, np.asarray(soft_assignment))
     return PipelineResult(
@@ -178,5 +159,5 @@ def end_to_end_solve(g_true: Graph, cfg: PipelineConfig) -> PipelineResult:
         runtime_ms=(time.perf_counter() - t0) * 1000.0,
         h_qubo=h_qubo,
         l_obj=l_obj,
-        combined_loss=combined_loss(soft_assignment, q_pred, l_obj, cfg.lam),
+        combined_loss=h_qubo + cfg.lam * l_obj,
     )

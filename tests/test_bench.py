@@ -184,6 +184,20 @@ def test_spec_validation():
         InstanceSpec("bad").load()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("n", 10.5), ("n", -1), ("n", True), ("d", 3.0), ("d", None),
+     ("p", True), ("p", 1.5), ("p", -0.1), ("p", float("nan")), ("p", "0.5")],
+)
+def test_instance_sizes_are_checked_where_they_are_set(key, value):
+    named = f"{key} .*got {re.escape(repr(value))}"
+    with pytest.raises(ValueError, match=named):
+        InstanceSpec("x", generator="erdos-renyi", **{key: value})
+    # numpy scalars pass, as the generators take them
+    InstanceSpec("x", generator="d-regular", n=np.int64(10), d=np.int32(3),
+                 p=np.float64(0.5), seed=np.int64(2))
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None, np.float64(4.0)])
 def test_every_seed_is_checked_where_it_is_set(seed):
     named = f"seed .*got {re.escape(repr(seed))}"
@@ -193,6 +207,8 @@ def test_every_seed_is_checked_where_it_is_set(seed):
         PipelineConfig(kind="mis", seed=seed)
     with pytest.raises(ValueError, match=named):
         SuiteSpec(problem="mis", instances=(), methods=("dga",), seeds=(0, seed))
+    with pytest.raises(ValueError, match=named):
+        InstanceSpec("x", generator="d-regular", n=10, d=3, seed=seed)
 
 
 def test_suite_seeds_are_stored_as_python_ints():

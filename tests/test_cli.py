@@ -120,6 +120,27 @@ def test_lambda_is_a_dfl_flag_only(tmp_path, ring6):
     assert main(["bench", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("entry", [{"seed": 1.5}, {"p": True}, {"n": 10.5}])
+def test_bad_instance_entry_is_data_error_before_loading(
+    tmp_path, ring6, capsys, monkeypatch, entry
+):
+    def no_loading(*args, **kwargs):
+        raise AssertionError("an instance was loaded")
+
+    monkeypatch.setattr("cograd.bench.InstanceSpec.load", no_loading)
+    cfg = tmp_path / "suite.json"
+    bad = {"name": "er", "generator": "erdos-renyi", "n": 10, "p": 0.3, **entry}
+    cfg.write_text(json.dumps({
+        "problem": "mis",
+        "instances": [{"name": "ring6", "path": ring6}, bad],
+        "methods": ["dga"],
+    }))
+    assert main(["bench", "--config", str(cfg)]) == 2
+    (key, value), = entry.items()
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"{key} " in err and repr(value) in err
+
+
 def test_bench_with_config(tmp_path, ring6, capsys):
     cfg = tmp_path / "suite.json"
     cfg.write_text(json.dumps({

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gzip
+import re
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,20 @@ def test_edges_are_canonical():
     assert g.m == 3
     assert list(g.neighbors(1)) == [0, 2]
     assert g.has_edge(1, 0) and g.has_edge(0, 3) and not g.has_edge(2, 3)
+
+
+@pytest.mark.parametrize("node", [-1, -2, 3, 1.0, 1.5, True, None])
+def test_node_queries_reject_what_is_no_node(node):
+    # a negative index would read another node's row, and n one past the end
+    g = Graph(3, [(0, 2), (1, 2)])
+    named = rf"node {re.escape(repr(node))} is not an integer in \[0, 3\)"
+    for query in (g.neighbors, g.neighbor_weights):
+        with pytest.raises(ValueError, match=named):
+            query(node)
+    for ends in ((node, 0), (0, node)):
+        with pytest.raises(ValueError, match=named):
+            g.has_edge(*ends)
+    assert g.has_edge(np.int64(2), np.int32(0)) and not g.has_edge(0, 1)
 
 
 def test_degree_is_weighted():

@@ -5,10 +5,12 @@ Usage:
     python3 scripts/decisions.py > decisions.txt
 
 Each line is ``case sha1``: the case name, then the SHA-1 of its 0/1
-decision as int64 bytes. The run time goes to stderr. The script imports
-cograd from the ``src`` of the checkout it sits in, so a copy placed in
-another checkout runs that checkout's code, and ``diff`` of the two outputs
-names every decision that moved. It calls public functions only.
+decision as int64 bytes, or for the QUBO and predictor cases of the bytes
+they list. The run time goes to stderr. The script imports cograd from the
+``src`` of the checkout it sits in, so a copy placed in another checkout
+runs that checkout's code, and ``diff`` of the two outputs names every
+decision that moved. It calls public functions only, and reads a QUBO's
+CSR arrays.
 
 Cases:
 
@@ -25,7 +27,14 @@ Cases:
 * dfl-partial's shape: 3-regular n = 800, 80 % observed, 800 predictor and
   150 solver epochs, seed 0, all three problems, at the default lambda and
   again at lambda = 1e20 (``.../lambda=1e20``). Lambda must not reach the
-  solver, so each pair of decisions is equal.
+  solver, so each pair of decisions is equal;
+* ``qubo/<graph>/<problem>``: the QUBO of each problem on reg-100, er-250,
+  the torus and a 6-node graph with a zero, a negative and a fractional
+  weight and an isolated node, as the bytes of ``export_coordinate_text``
+  followed by those of its CSR arrays (``indptr``, ``indices``, ``data``);
+* ``predictor/seed=0``: the link predictor trained on dfl-partial's shape
+  (800 epochs), as the bytes of its ``embed`` and ``w`` followed by
+  ``repr`` of its reconstruction loss.
 """
 
 from __future__ import annotations
@@ -50,14 +59,19 @@ from cograd import (  # noqa: E402
     build_qubo,
     dga,
     end_to_end_solve,
+    export_coordinate_text,
     generate_d_regular,
     generate_erdos_renyi,
     one_flip_local_search,
     project_and_repair,
+    reconstruction_bce,
+    sample_observed_subgraph,
     train,
+    train_predictor,
 )
 
-Case = tuple[str, Callable[[], np.ndarray]]
+# a decision, or the bytes of an array-valued result
+Case = tuple[str, Callable[[], np.ndarray | bytes]]
 
 
 def path(order) -> Graph:
@@ -106,6 +120,20 @@ def dfl(g: Graph, kind: ProblemKind, seed: int, lam: float = 1.0) -> np.ndarray:
     return end_to_end_solve(g, cfg).assignment
 
 
+def qubo_bytes(kind: ProblemKind, g: Graph) -> bytes:
+    q = build_qubo(kind, g)
+    csr = q._offdiag
+    return export_coordinate_text(q).encode() + b"".join(
+        a.tobytes() for a in (csr.indptr, csr.indices, csr.data))
+
+
+def predictor_bytes(g: Graph, seed: int) -> bytes:
+    sample = sample_observed_subgraph(g, 0.8, seed)
+    params = train_predictor(sample, g.n, fixed_budget(800, seed))
+    l_obj = reconstruction_bce(params, sample)
+    return params.embed.tobytes() + params.w.tobytes() + repr(l_obj).encode()
+
+
 def suite_small_graphs(seed: int) -> Iterator[tuple[str, Graph]]:
     """suite-small's instances, drawn as its set-up draws them."""
     rng = np.random.default_rng(seed)
@@ -150,10 +178,20 @@ def cases() -> Iterator[Case]:
     for kind in ProblemKind:
         yield (f"dfl-partial/seed=0/{kind.value}/lambda=1e20",
                partial(dfl, g, kind, 0, lam=1e20))
+    weighted = Graph(6, [(0, 1, 2.5), (1, 2, -0.25), (2, 3, 0.0), (0, 4, 1e-3)])
+    makers = dict(REPAIR_GRAPHS, weighted=lambda: weighted)
+    for name in ("reg-100", "er-250", "torus", "weighted"):
+        q_graph = makers[name]()
+        for kind in ProblemKind:
+            yield f"qubo/{name}/{kind.value}", partial(qubo_bytes, kind, q_graph)
+    yield "predictor/seed=0", partial(predictor_bytes, g, 0)
 
 
-def digest(x: np.ndarray) -> str:
-    return hashlib.sha1(np.asarray(x, dtype=np.int64).tobytes()).hexdigest()
+def digest(x: np.ndarray | bytes) -> str:
+    """SHA-1 of bytes as they are, or of a decision as int64 bytes."""
+    if not isinstance(x, bytes):
+        x = np.asarray(x, dtype=np.int64).tobytes()
+    return hashlib.sha1(x).hexdigest()
 
 
 def main() -> None:

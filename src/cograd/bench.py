@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import time
 import zlib
 from dataclasses import asdict, dataclass
@@ -18,7 +17,7 @@ import numpy as np
 
 from ._version import __version__
 from .baselines import dga, one_flip_local_search
-from .gnn import TrainConfig, _check_seed, _count, project_and_repair, train
+from .gnn import TrainConfig, _check_seed, _count, _real, project_and_repair, train
 from .graph import Graph, generate_d_regular, generate_erdos_renyi, load_gset
 from .pipeline import PipelineConfig, end_to_end_solve
 from .qubo import ProblemKind, brute_force_optimum, build_qubo, is_feasible, objective
@@ -75,7 +74,7 @@ class InstanceSpec:
                     f"{key} must be at least 0 and a whole number, got {value!r}"
                 )
         p = self.p
-        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0 <= p <= 1:
+        if not (_real(p) and 0 <= p <= 1):
             raise ValueError(f"p must be a real number in [0, 1], got {p!r}")
         _check_seed(self.seed)
 
@@ -133,6 +132,9 @@ class SuiteSpec:
         names = [inst.name for inst in self.instances]
         if len(set(names)) != len(names):
             raise ValueError("instance names must be unique")
+        # the run settings' own rules (TrainConfig, PipelineConfig, the
+        # penalty), so a bad setting fails before any instance loads
+        _pipeline_cfg(self, 0)
 
     def digest(self) -> str:
         doc = asdict(self)

@@ -77,10 +77,11 @@ n = 3000 on two cores a descent so burned about twice the CPU time of its
 wall time, and one thread halves the CPU time with no loss of wall time.
 scikit-learn limits BLAS around its k-means loop for the same reason. On
 one thread the products also sum in one order, so p no longer depends on
-the machine's core count. The functions bound are those of the OpenBLAS
-numpy has already loaded, found once; with another BLAS (MKL, Accelerate)
-or where no loaded library can be found, the scope does nothing and the
-pool is left as it is.
+the machine's core count. The functions bound are OpenBLAS's, looked up
+once on numpy's own compiled core, ``_multiarray_umath``, which links the
+BLAS its products call; with another BLAS (MKL, Accelerate), or without
+``RTLD_NOLOAD`` (Windows), the scope does nothing and the pool is left as
+it is.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -184,14 +186,16 @@ class TrainConfig:
             raise ValueError(
                 f"max_epochs must be at least 1 and a whole number, got {self.max_epochs!r}"
             )
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be positive and finite")
+        lr = self.learning_rate
+        if not (_real(lr) and 0 < lr < np.inf):
+            raise ValueError(f"learning_rate must be positive and finite, got {lr!r}")
         if not _count(self.patience):
             raise ValueError(
                 f"patience must be at least 1 and a whole number, got {self.patience!r}"
             )
-        if not 0 <= self.tolerance < np.inf:
-            raise ValueError("tolerance must be nonnegative and finite")
+        tol = self.tolerance
+        if not (_real(tol) and 0 <= tol < np.inf):
+            raise ValueError(f"tolerance must be nonnegative and finite, got {tol!r}")
         if not all(d is None or _count(d) for d in (self.d0, self.d1)):
             raise ValueError(
                 "embedding dims must be at least 1 and whole numbers, "
@@ -204,6 +208,12 @@ def _count(x, least: int = 1) -> bool:
     """Whether x is a whole number of at least ``least``: an int or numpy
     integer, not a bool."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= least
+
+
+def _real(x) -> bool:
+    """Whether x is a real number: an int, a float or a numpy number, not a
+    bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _check_seed(seed) -> None:
@@ -233,19 +243,13 @@ def init_params(n: int, d0: int, d1: int, seed: int) -> GcnParams:
 
     Fan-in is the width feeding each product: d0 for the embedding table and
     first layer, d1 for the output layer. The tensors are views into one
-    flat buffer, in the order h0, w0, w1.
+    flat buffer, in the order h0, w0, w1, which is each tensor's ``base``.
     """
-    return _init_flat(n, d0, d1, seed)[1]
-
-
-def _init_flat(n: int, d0: int, d1: int, seed: int) -> tuple[np.ndarray, GcnParams]:
-    """:func:`init_params` and the flat buffer its tensors are views of."""
     if d0 < 1 or d1 < 1:
         raise ValueError("embedding dims must be at least 1")
     rng = np.random.default_rng(seed)
     scales = (1.0 / np.sqrt(d0), 1.0 / np.sqrt(d0), 1.0 / np.sqrt(d1))
-    flat, views = _draw_normal(rng, _gcn_shapes(n, d0, d1), scales)
-    return flat, GcnParams(*views)
+    return GcnParams(*_draw_normal(rng, _gcn_shapes(n, d0, d1), scales)[1])
 
 
 def _gcn_shapes(n: int, d0: int, d1: int) -> list[tuple[int, int]]:
@@ -494,9 +498,9 @@ class Adam:
             a -= np.divide(num, den, out=num)
 
 
-# OpenBLAS's thread-count functions, tried in turn: numpy's wheels (64-bit
-# integer interface), a scipy-openblas build with 32-bit integers, a plain
-# OpenBLAS
+# OpenBLAS's thread-count functions, looked up in turn on numpy's extension
+# module: numpy's wheels (scipy-openblas, 64-bit integer interface), a
+# scipy-openblas build with 32-bit integers, a plain OpenBLAS
 _OPENBLAS_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
@@ -513,37 +517,29 @@ class _BlasThreads(NamedTuple):
 
 @functools.cache
 def _openblas() -> _BlasThreads | None:
-    """The thread-count functions of the OpenBLAS numpy has loaded, or None
-    when none can be found (another BLAS, or no ``/proc/self/maps``).
+    """The thread-count functions of the OpenBLAS numpy calls, or None when
+    there are none (another BLAS, or no ``os.RTLD_NOLOAD``, as on Windows).
 
-    Only libraries already mapped into the process are looked at, and they
-    are opened with ``RTLD_NOLOAD``, so no second copy is ever loaded.
+    numpy's already loaded ``_multiarray_umath`` extension is opened with
+    ``RTLD_NOLOAD``, so nothing new is loaded, and the symbols are looked up
+    on that handle: the dynamic linker searches the extension and the
+    libraries it links, so the functions found are those of the BLAS that
+    numpy's products call, whatever its file is named.
     """
+    core = getattr(np, "_core", None) or np.core  # numpy 2, numpy 1
     try:
-        with open("/proc/self/maps") as maps:
-            fields = [line.split(maxsplit=5) for line in maps]
-    except OSError:
+        path = core._multiarray_umath.__file__
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+    except (AttributeError, OSError):  # no such module, or no RTLD_NOLOAD
         return None
-    paths = dict.fromkeys(
-        f[5].rstrip("\n")
-        for f in fields
-        if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()
-    )
-    libs = []
-    for path in paths:
-        try:
-            libs.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY))
-        except OSError:
-            continue
     for get_name, set_name in _OPENBLAS_SYMBOLS:
-        for lib in libs:
-            try:
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-            except AttributeError:
-                continue
-            get.restype, get.argtypes = ctypes.c_int, ()
-            set_.restype, set_.argtypes = None, (ctypes.c_int,)
-            return _BlasThreads(get, set_)
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.restype, get.argtypes = ctypes.c_int, ()
+        set_.restype, set_.argtypes = None, (ctypes.c_int,)
+        return _BlasThreads(get, set_)
     return None
 
 
@@ -665,7 +661,7 @@ def train(
     a_hat = a_hat._replace(data=a_hat.data.astype(np.float32))
     d0, d1 = _dims(g.n, cfg)
     # init_params' float64 draws, each rounded once to float32
-    flat = _init_flat(g.n, d0, d1, cfg.seed)[0].astype(np.float32)
+    flat = init_params(g.n, d0, d1, cfg.seed).h0.base.astype(np.float32)
     params = GcnParams(*_views(flat, _gcn_shapes(g.n, d0, d1)))
     ws = _Workspace(g.n, d0, d1, dtype=np.float32)
     best_p = np.empty(g.n)

@@ -191,13 +191,12 @@ class Graph:
 
     def adjacency(self) -> scipy.sparse.csr_array:
         """Symmetric weighted adjacency as a scipy CSR array (imports
-        ``scipy.sparse`` on the first call)."""
+        ``scipy.sparse`` on the first call): the graph's own CSR arrays,
+        copied, so writing into the result leaves the graph as it is."""
         import scipy.sparse as sp
 
-        src = np.concatenate([self.edge_u, self.edge_v])
-        dst = np.concatenate([self.edge_v, self.edge_u])
-        wts = np.concatenate([self.edge_w, self.edge_w])
-        return sp.csr_array((wts, (src, dst)), shape=(self.n, self.n))
+        csr = (self.weights, self.indices, self.indptr)
+        return sp.csr_array(csr, shape=(self.n, self.n), copy=True)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -156,12 +156,12 @@ def train_predictor(
     n_pairs = m + n_neg
     # ends[0] and ends[1] hold the scored pairs' first and second ends, the
     # observed edges before the negatives; ends.ravel() is the scatter's
-    # input order. z is gathered at the ends in swapped order, so that
-    # scaling the gathered rows by ds gives the rows the scatter adds.
+    # input order. z is gathered through the reversed view ends[::-1], at
+    # the other end of each pair, so that scaling the gathered rows by ds
+    # gives the rows the scatter adds.
     ends = np.empty((2, n_pairs), dtype=np.int64)
     ends[0, :m] = kept[og.edge_u]
     ends[1, :m] = kept[og.edge_v]
-    swapped = ends[::-1].copy()
     neg_obs = np.empty((2, n_neg), dtype=np.int64)
     y = np.concatenate([np.ones(m), np.zeros(n_neg)])
     unobs = np.setdiff1d(np.arange(full_n), kept)
@@ -182,10 +182,9 @@ def train_predictor(
         if n_neg:
             _sample_non_edges(rng, k, edge_keys, neg_obs)
             np.take(kept, neg_obs, out=ends[:, m:])
-            np.copyto(swapped[:, m:], ends[::-1, m:])
         spmm(a_known, embed, m_in)
         np.matmul(m_in, w, out=z)
-        np.take(z, swapped, axis=0, out=z_ends)
+        np.take(z, ends[::-1], axis=0, out=z_ends)
         np.multiply(z_u, z_v, out=prod)
         np.sum(prod, axis=1, out=s)
         _sigmoid(s, out=s)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .gnn import TrainConfig, _check_seed, project_and_repair, train
+from .gnn import TrainConfig, _check_seed, _real, project_and_repair, train
 from .graph import Graph, sample_observed_subgraph
 from .linkpred import (
     _SOFT_EDGE_CUTOFF,
@@ -71,10 +71,13 @@ class PipelineConfig:
     polish: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.observe_fraction <= 1.0:
-            raise ValueError("observe_fraction must be in (0, 1]")
-        if not 0.0 <= self.lam < np.inf:
-            raise ValueError("lambda coefficient must be nonnegative and finite")
+        frac, lam = self.observe_fraction, self.lam
+        if not (_real(frac) and 0.0 < frac <= 1.0):
+            raise ValueError(f"observe_fraction must be in (0, 1], got {frac!r}")
+        if not (_real(lam) and 0.0 <= lam < np.inf):
+            raise ValueError(
+                f"lambda coefficient must be nonnegative and finite, got {lam!r}"
+            )
         _check_penalty(ProblemKind(self.kind), self.penalty)
         _check_seed(self.seed)
 

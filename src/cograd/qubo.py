@@ -59,9 +59,10 @@ class QuboMatrix:
     coefficient Q_ij; the monomial x_i * x_j therefore enters H with
     coefficient 2 * Q_ij for i < j and the diagonal enters linearly.
     ``penalty`` records the constraint coefficient used at build time
-    (0 for MaxCut). The form is stored as arrays: the diagonal, Q_ij on the
-    canonical pairs i < j of a :class:`Graph`, and the full symmetric
-    off-diagonal part in CSR with that graph's layout.
+    (0 for MaxCut). The form is stored as arrays: the diagonal, and the
+    full symmetric off-diagonal part in CSR with the layout of a
+    :class:`Graph` over its pairs, which holds each coupling Q_ij twice, at
+    (i, j) and (j, i), and nowhere else.
     """
 
     def __init__(
@@ -94,19 +95,19 @@ class QuboMatrix:
         diag = np.zeros(n, dtype=np.float64)
         diag[diag_nodes] = coeffs[on_diag]
         g = Graph.from_arrays(n, *keys[~on_diag].T, coeffs[~on_diag])
-        self._build(g, g.edge_w, g.weights, diag, diag_nodes, offset, penalty)
+        self._build(g, g.weights, diag, diag_nodes, offset, penalty)
 
-    def _build(self, g, edge_c, csr_c, diag, diag_nodes, offset, penalty) -> QuboMatrix:
-        """Set the form and return it: Q on ``g``'s canonical edge k is
-        ``edge_c[k]``, ``csr_c`` holds the same couplings in ``g``'s CSR
-        order, and the diagonal ``diag`` has stored entries at ``diag_nodes``."""
+    def _build(self, g, csr_c, diag, diag_nodes, offset, penalty) -> QuboMatrix:
+        """Set the form and return it: ``csr_c`` holds Q's couplings in
+        ``g``'s CSR order, and the diagonal ``diag`` has stored entries at
+        ``diag_nodes``."""
         self.n = n = g.n
         self.offset = float(offset)
         self.penalty = float(penalty)
         self._diag = diag
         self._diag_nodes = diag_nodes
-        self._u, self._v, self._c = g.edge_u, g.edge_v, edge_c
-        # Full symmetric off-diagonal matrix, used by value and gradient.
+        # Full symmetric off-diagonal matrix, the one copy of the couplings:
+        # value and gradient multiply by it, and entries reads it.
         idx = index_dtype(max(n, len(csr_c)))
         self._offdiag = Csr(g.indptr.astype(idx), g.indices.astype(idx), csr_c, (n, n))
         return self
@@ -114,10 +115,14 @@ class QuboMatrix:
     @cached_property
     def entries(self) -> dict[tuple[int, int], float]:
         """Canonical (i <= j) pairs -> Q_ij, explicit zeros included; built
-        from the arrays on first access."""
+        from the arrays on first access. The pairs i < j are the CSR's upper
+        triangle, which row by row is canonical order."""
         d = self._diag_nodes.tolist()
         out = dict(zip(zip(d, d), self._diag[self._diag_nodes].tolist()))
-        out.update(zip(zip(self._u.tolist(), self._v.tolist()), self._c.tolist()))
+        indptr, indices, data, _ = self._offdiag
+        rows = np.repeat(np.arange(self.n), np.diff(indptr))
+        up = rows < indices
+        out.update(zip(zip(rows[up].tolist(), indices[up].tolist()), data[up].tolist()))
         return out
 
     def value(self, x: np.ndarray) -> float:
@@ -146,7 +151,7 @@ class QuboMatrix:
         return np.add(out, self._diag, out=out)
 
     def __repr__(self) -> str:
-        nnz = len(self._diag_nodes) + len(self._c)
+        nnz = len(self._diag_nodes) + len(self._offdiag.data) // 2
         return f"QuboMatrix(n={self.n}, nnz={nnz}, offset={self.offset:g})"
 
 
@@ -176,12 +181,12 @@ def build_qubo(kind: ProblemKind, g: Graph, penalty: float = 2.0) -> QuboMatrix:
     for bit, as adding the terms one by one into a dict from 0.0.
     """
     kind = ProblemKind(kind)
-    n, w = g.n, g.edge_w
+    n = g.n
     offset = 0.0
     if kind is ProblemKind.MAXCUT:
         penalty = 0.0
         # a sum from 0.0 stores 0.0 + c, which turns -0.0 into 0.0
-        edge_c, csr_c = 0.0 + w, 0.0 + g.weights
+        csr_c = 0.0 + g.weights
         # the sum of -w over each node's edges from 0.0 in edge order:
         # rounding is symmetric, and 0.0 - s keeps a zero sum at +0.0
         diag_nodes = np.flatnonzero(np.diff(g.indptr))
@@ -189,11 +194,10 @@ def build_qubo(kind: ProblemKind, g: Graph, penalty: float = 2.0) -> QuboMatrix:
     else:
         _check_penalty(kind, penalty)
         sign = -1.0 if kind is ProblemKind.MIS else 1.0
-        pw = penalty * w
-        edge_c = 0.0 + pw / 2.0
         csr_c = 0.0 + penalty * g.weights / 2.0
         diag_nodes = np.arange(n)
         if kind is ProblemKind.MVC:
+            pw = penalty * g.edge_w
             # the diagonal terms of edge k go to u_k, then v_k
             ends = np.column_stack([g.edge_u, g.edge_v]).ravel()
             diag = np.bincount(
@@ -208,7 +212,7 @@ def build_qubo(kind: ProblemKind, g: Graph, penalty: float = 2.0) -> QuboMatrix:
     # bincount over no terms counts in integers, hence the cast
     diag = diag.astype(np.float64, copy=False)
     return QuboMatrix.__new__(QuboMatrix)._build(
-        g, edge_c, csr_c, diag, diag_nodes, offset, penalty
+        g, csr_c, diag, diag_nodes, offset, penalty
     )
 
 

@@ -276,3 +276,53 @@ def test_perfbench_harness_contract(tmp_path, monkeypatch):
     g = generate_d_regular(20, 3, 0)
     timings = workloads.probe(g, build_qubo(ProblemKind.MAXCUT, g), 0, reps=1)
     assert all(np.isfinite(v) and v >= 0.0 for v in timings.values())
+
+
+@pytest.mark.parametrize("settings", [
+    {"epochs": 0},
+    {"lr": float("nan")},
+    {"d0": 0},
+    {"penalty": 0.5},
+    {"observe_fraction": 1.5},
+])
+def test_run_settings_are_checked_when_the_suite_is_built(monkeypatch, settings):
+    """A bad setting fails in SuiteSpec, before any instance loads or any row
+    runs, even when no listed method would use it."""
+    loaded = []
+
+    def load(self):
+        loaded.append(self.name)
+        return generate_d_regular(10, 3, 0)
+
+    monkeypatch.setattr(InstanceSpec, "load", load)
+    inst = InstanceSpec("a", generator="d-regular", n=10, d=3)
+    with pytest.raises(ValueError):
+        run_suite(SuiteSpec(ProblemKind.MIS, (inst,), ("dga", "gnn-solver"), **settings))
+    assert loaded == []
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: TrainConfig(learning_rate=True),
+                 "learning_rate must be positive", id="TrainConfig.learning_rate"),
+    pytest.param(lambda: TrainConfig(tolerance=True),
+                 "tolerance must be nonnegative", id="TrainConfig.tolerance"),
+    pytest.param(lambda: PipelineConfig(kind="mis", lam=True),
+                 "lambda coefficient must be", id="PipelineConfig.lam"),
+    pytest.param(lambda: PipelineConfig(kind="mis", observe_fraction=True),
+                 "observe_fraction must be", id="PipelineConfig.observe_fraction"),
+    pytest.param(lambda: SuiteSpec("mis", (), ("dga",), lr=True),
+                 "learning_rate must be positive", id="SuiteSpec.lr"),
+    pytest.param(lambda: SuiteSpec("mis", (), ("dga",), observe_fraction=True),
+                 "observe_fraction must be", id="SuiteSpec.observe_fraction"),
+    pytest.param(lambda: InstanceSpec("a", generator="erdos-renyi", n=5, p=True),
+                 "p must be a real", id="InstanceSpec.p"),
+])
+def test_a_bool_is_not_a_real_number(make, message):
+    with pytest.raises(ValueError, match=f"{message}.*got True$"):
+        make()
+
+
+def test_real_settings_take_ints_and_numpy_numbers():
+    assert TrainConfig(learning_rate=np.float32(0.5), tolerance=0).learning_rate == 0.5
+    assert PipelineConfig(kind="mis", observe_fraction=np.float64(0.5), lam=2).lam == 2
+    assert InstanceSpec("a", generator="erdos-renyi", n=5, p=np.float16(0.5)).p == 0.5

@@ -402,3 +402,32 @@ def test_config_embedding_dims_reach_solver(tmp_path, capsys):
 
     assert got == solve(d0=16, d1=8)
     assert got != solve()  # the default widths decide differently here
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("solve", ["--epochs", "0"]),
+    ("solve", ["--lr", "nan"]),
+    ("solve", ["--penalty", "0.5"]),
+    ("dfl", ["--observe", "1.5"]),
+    ("bench", ["--epochs", "0"]),
+    ("bench", ["--observe", "1.5"]),
+])
+def test_bad_run_settings_fail_before_any_instance_loads(
+    tmp_path, ring6, capsys, monkeypatch, command, flags
+):
+    def no_loading(*args, **kwargs):
+        raise AssertionError("an instance was loaded")
+
+    monkeypatch.setattr("cograd.bench.InstanceSpec.load", no_loading)
+    if command == "bench":
+        cfg = tmp_path / "suite.json"
+        cfg.write_text(json.dumps({
+            "problem": "mis",
+            "instances": [{"name": "ring6", "path": ring6}],
+            "methods": ["dga", "gnn-solver"],
+        }))
+        argv = ["bench", "--config", str(cfg)]
+    else:
+        argv = [command, "--problem", "mis", "--input", ring6]
+    assert main([*argv, *flags]) == 2
+    assert capsys.readouterr().err.startswith("data error:")

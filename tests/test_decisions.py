@@ -7,6 +7,7 @@ test here requires equal arrays, on any finite weights.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import re
 from pathlib import Path
@@ -19,7 +20,13 @@ from hypothesis import strategies as st
 from cograd.baselines import dga, one_flip_local_search
 from cograd.gnn import TrainConfig, project_and_repair, train
 from cograd.graph import Graph, generate_d_regular, generate_erdos_renyi
-from cograd.qubo import ProblemKind, build_qubo, is_feasible, objective
+from cograd.qubo import (
+    ProblemKind,
+    build_qubo,
+    export_coordinate_text,
+    is_feasible,
+    objective,
+)
 
 MAXCUT, MIS, MVC = ProblemKind.MAXCUT, ProblemKind.MIS, ProblemKind.MVC
 
@@ -250,3 +257,15 @@ def test_decisions_script_prints_one_line_per_case():
     want = _reference_repair(MIS, generate_d_regular(100, 3, 0), np.zeros(100))
     assert re.fullmatch("[0-9a-f]{40}", decisions.digest(decide()))
     assert decisions.digest(decide()) == decisions.digest(want)
+
+
+def test_decisions_script_hashes_qubo_bytes_as_they_are():
+    """The qubo cases hash the coordinate text and the CSR arrays, uncast."""
+    decide = dict(decisions.cases())["qubo/weighted/mis"]
+    g = Graph(6, [(0, 1, 2.5), (1, 2, -0.25), (2, 3, 0.0), (0, 4, 1e-3)])
+    q = build_qubo(MIS, g)
+    csr = q._offdiag
+    want = export_coordinate_text(q).encode() + csr.indptr.tobytes()
+    want += csr.indices.tobytes() + csr.data.tobytes()
+    assert decide() == want
+    assert decisions.digest(want) == hashlib.sha1(want).hexdigest()

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ctypes
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -704,3 +707,26 @@ def test_export_loss_trace_csv():
     assert len(lines) == 4
     e, l, b = lines[1].split(",")
     assert e == "1" and float(l) == float(b)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_openblas_binds_the_mapped_openblas():
+    """_openblas() finds the OpenBLAS that the process has mapped, as read
+    from /proc/self/maps, and binds that library's own functions."""
+    with open("/proc/self/maps") as maps:
+        fields = [line.split(maxsplit=5) for line in maps]
+    paths = {f[5].strip() for f in fields if len(f) == 6}
+    paths = [p for p in paths if "openblas" in os.path.basename(p).lower()]
+    if not paths:
+        pytest.skip("no library with openblas in its file name is mapped")
+    address = lambda f: ctypes.cast(f, ctypes.c_void_p).value  # noqa: E731
+    mapped = set()
+    for path in paths:
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        for names in gnn._OPENBLAS_SYMBOLS:
+            if all(hasattr(lib, name) for name in names):
+                mapped.add(tuple(address(getattr(lib, name)) for name in names))
+                break
+    blas = gnn._openblas()
+    assert blas is not None
+    assert (address(blas.get), address(blas.set)) in mapped

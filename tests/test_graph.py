@@ -64,6 +64,21 @@ def test_adjacency_matches_edges():
     assert np.array_equal(a, [[0, 2, 0], [2, 0, 3], [0, 3, 0]])
 
 
+def test_adjacency_is_a_copy_of_the_coo_matrix():
+    """adjacency() equals the matrix scipy builds from the edges in both
+    directions, array for array, and shares no memory with the graph."""
+    # node 3 is isolated, and the edge (2, 4) is stored at weight 0
+    g = Graph(5, [(0, 1, 2.5), (1, 2, -0.25), (2, 4, 0.0), (0, 4, 1e-3)])
+    a = g.adjacency()
+    ends = (np.r_[g.edge_u, g.edge_v], np.r_[g.edge_v, g.edge_u])
+    want = sp.csr_array((np.r_[g.edge_w, g.edge_w], ends), shape=(5, 5))
+    for x, y in ((a.indptr, want.indptr), (a.indices, want.indices), (a.data, want.data)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert a.nnz == 8 and a.has_canonical_format
+    owned = (g.indptr, g.indices, g.weights, g.edge_u, g.edge_v, g.edge_w, g.degree)
+    assert not any(np.shares_memory(x, y) for x in (a.indptr, a.indices, a.data) for y in owned)
+
+
 def test_parse_gset_basic():
     g = parse_gset("3 2\n1 2 5\n2 3 -1\n")
     assert g.n == 3

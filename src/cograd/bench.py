@@ -103,7 +103,11 @@ class InstanceSpec:
 
 @dataclass(frozen=True)
 class SuiteSpec:
-    """Cross product of instances, methods, and seeds plus run settings."""
+    """Cross product of instances, methods, and seeds plus run settings.
+
+    The run settings are checked when the spec is built, by the rules of
+    :class:`TrainConfig`, :class:`PipelineConfig` and the penalty, whatever
+    methods are listed, so a bad setting fails before any instance loads."""
 
     problem: ProblemKind
     instances: tuple[InstanceSpec, ...]
@@ -132,8 +136,6 @@ class SuiteSpec:
         names = [inst.name for inst in self.instances]
         if len(set(names)) != len(names):
             raise ValueError("instance names must be unique")
-        # the run settings' own rules (TrainConfig, PipelineConfig, the
-        # penalty), so a bad setting fails before any instance loads
         _pipeline_cfg(self, 0)
 
     def digest(self) -> str:

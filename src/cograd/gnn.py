@@ -171,7 +171,8 @@ class SoftAssignment:
 class TrainConfig:
     """Gradient-descent schedule. The embedding dims ``d0`` and ``d1`` are
     ints of at least 1, or None for :func:`default_dims` of the graph;
-    ``seed`` is an int of at least 0."""
+    ``seed`` is an int of at least 0; ``learning_rate`` and ``tolerance``
+    are real numbers, not bools."""
 
     max_epochs: int = 10_000
     learning_rate: float = 1e-2

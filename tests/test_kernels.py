@@ -53,7 +53,7 @@ lib = ctypes.CDLL(core.__file__, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
 names = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
          "openblas_get_corename")
 corename = next(getattr(lib, name) for name in names if hasattr(lib, name))
-corename.restype = ctypes.c_char_p
+corename.restype, corename.argtypes = ctypes.c_char_p, ()
 kernels = {"numpy": core.__cpu_features__, "openblas": corename().decode()}
 print(json.dumps({"decisions": out, "kernels": kernels}))
 """

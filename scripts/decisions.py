@@ -34,12 +34,22 @@ Cases:
   followed by those of its CSR arrays (``indptr``, ``indices``, ``data``);
 * ``predictor/seed=0``: the link predictor trained on dfl-partial's shape
   (800 epochs), as the bytes of its ``embed`` and ``w`` followed by
-  ``repr`` of its reconstruction loss.
+  ``repr`` of its reconstruction loss;
+* ``trace/reg-100/<problem>/<schedule>``: the solver's descent on reg-100
+  at 200 fixed epochs (``epochs=200``) and at the default schedule
+  (``default``), as the bytes of ``export_loss_trace`` of its trace, then
+  of its p, then of its stop reason;
+* ``pipeline/<case>/<problem>``: ``PipelineResult.to_json()`` without
+  ``runtime_ms``, for dfl-partial's shape at seed 0 (``dfl-partial``) and
+  for the weighted 6-node graph of the qubo cases, fully observed at
+  lambda = 1e20 with the default schedules (``weighted/lambda=1e20``).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import json
 import sys
 import time
 from functools import partial
@@ -54,12 +64,14 @@ sys.path.insert(0, str(ROOT / "src"))
 from cograd import (  # noqa: E402
     Graph,
     PipelineConfig,
+    PipelineResult,
     ProblemKind,
     TrainConfig,
     build_qubo,
     dga,
     end_to_end_solve,
     export_coordinate_text,
+    export_loss_trace,
     generate_d_regular,
     generate_erdos_renyi,
     one_flip_local_search,
@@ -113,11 +125,32 @@ def dga_local_search(kind: ProblemKind, g: Graph) -> np.ndarray:
     return one_flip_local_search(kind, g, dga(kind, g))
 
 
-def dfl(g: Graph, kind: ProblemKind, seed: int, lam: float = 1.0) -> np.ndarray:
+@functools.cache
+def dfl_result(g: Graph, kind: ProblemKind, seed: int, lam: float = 1.0) -> PipelineResult:
     cfg = PipelineConfig(kind=kind, observe_fraction=0.8, lam=lam, seed=seed,
                          predictor_cfg=fixed_budget(800, seed),
                          solver_cfg=fixed_budget(150, seed))
-    return end_to_end_solve(g, cfg).assignment
+    return end_to_end_solve(g, cfg)
+
+
+def dfl(g: Graph, kind: ProblemKind, seed: int, lam: float = 1.0) -> np.ndarray:
+    return dfl_result(g, kind, seed, lam).assignment
+
+
+def result_bytes(result: PipelineResult) -> bytes:
+    doc = json.loads(result.to_json())
+    del doc["runtime_ms"]
+    return json.dumps(doc).encode()
+
+
+def full_observation(g: Graph, kind: ProblemKind, lam: float) -> PipelineResult:
+    return end_to_end_solve(g, PipelineConfig(kind=kind, observe_fraction=1.0, lam=lam))
+
+
+def trace_bytes(kind: ProblemKind, g: Graph, cfg: TrainConfig) -> bytes:
+    soft, trace = train(g, build_qubo(kind, g), cfg)
+    return (export_loss_trace(trace).encode() + soft.p.tobytes()
+            + trace.stop_reason.encode())
 
 
 def qubo_bytes(kind: ProblemKind, g: Graph) -> bytes:
@@ -185,6 +218,17 @@ def cases() -> Iterator[Case]:
         for kind in ProblemKind:
             yield f"qubo/{name}/{kind.value}", partial(qubo_bytes, kind, q_graph)
     yield "predictor/seed=0", partial(predictor_bytes, g, 0)
+    reg100 = makers["reg-100"]()
+    for kind in ProblemKind:
+        for schedule, cfg in (("epochs=200", fixed_budget(200, 0)), ("default", TrainConfig())):
+            yield (f"trace/reg-100/{kind.value}/{schedule}",
+                   partial(trace_bytes, kind, reg100, cfg))
+    for kind in ProblemKind:
+        yield (f"pipeline/dfl-partial/{kind.value}",
+               lambda kind=kind: result_bytes(dfl_result(g, kind, 0)))
+    for kind in ProblemKind:
+        yield (f"pipeline/weighted/lambda=1e20/{kind.value}",
+               lambda kind=kind: result_bytes(full_observation(weighted, kind, 1e20)))
 
 
 def digest(x: np.ndarray | bytes) -> str:

@@ -17,7 +17,8 @@ import numpy as np
 
 from ._version import __version__
 from .baselines import dga, one_flip_local_search
-from .gnn import TrainConfig, _check_seed, _count, _real, project_and_repair, train
+from .gnn import TrainConfig, _check_seed, _count, _python_numbers, _real
+from .gnn import project_and_repair, train
 from .graph import Graph, generate_d_regular, generate_erdos_renyi, load_gset
 from .pipeline import PipelineConfig, end_to_end_solve
 from .qubo import ProblemKind, brute_force_optimum, build_qubo, is_feasible, objective
@@ -56,7 +57,9 @@ class InstanceSpec:
 
     ``n``, ``d`` and ``seed`` are whole numbers of at least 0 and ``p`` a
     real number in [0, 1], none of them a bool; they are checked here, so a
-    bad config entry fails before any instance loads."""
+    bad config entry fails before any instance loads. A numpy number is
+    kept as its Python equal, ``x.item()``, as in :class:`SuiteSpec` and
+    :class:`cograd.pipeline.PipelineConfig`, so JSON can hold it."""
 
     name: str
     path: str | None = None
@@ -77,6 +80,7 @@ class InstanceSpec:
         if not (_real(p) and 0 <= p <= 1):
             raise ValueError(f"p must be a real number in [0, 1], got {p!r}")
         _check_seed(self.seed)
+        _python_numbers(self)
 
     def load(self) -> Graph:
         if self.path is not None:
@@ -137,6 +141,7 @@ class SuiteSpec:
         if len(set(names)) != len(names):
             raise ValueError("instance names must be unique")
         _pipeline_cfg(self, 0)
+        _python_numbers(self)
 
     def digest(self) -> str:
         doc = asdict(self)

@@ -14,8 +14,10 @@ in fresh n x d temporaries, and at small n by the Python dispatch around
 each operation. So that Adam steps one array, the parameters live in one
 flat buffer and the workspace's gradients in another: the tensors of
 :class:`GcnParams` are views into the first, each filled in place as it is
-drawn, and the gradient tensors views into the second. The relaxed energy
-and dH/dp share one product Q_offdiag p per epoch. The public
+drawn, and the gradient tensors views into the second. An epoch is one
+forward and one backward pass: the backward computes the product
+Q_offdiag p once, takes dH/dp from it for the gradients and returns the
+relaxed energy H(p), which is the epoch's loss. The public
 :func:`forward` and :func:`backward` run the same kernel on a fresh
 workspace, so they return new arrays.
 
@@ -92,7 +94,7 @@ import math
 import numbers
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -217,6 +219,17 @@ def _real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _python_numbers(config) -> None:
+    """Replace each numpy number among the fields of the frozen dataclass
+    ``config`` by its Python equal, ``x.item()``, so that the config
+    computes and writes JSON as one built from Python numbers does. The
+    configs whose settings reach a JSON writer call it last in
+    ``__post_init__``, so that error messages show the value given."""
+    for f in fields(config):
+        if isinstance(value := getattr(config, f.name), np.generic):
+            object.__setattr__(config, f.name, value.item())
+
+
 def _check_seed(seed) -> None:
     """Raise ValueError unless ``seed`` is a whole number of at least 0, the
     rule for every seed a run is given."""
@@ -322,11 +335,11 @@ def _check_shapes(params: GcnParams, a_hat: Csr) -> None:
 class _Workspace:
     """Buffers of one solver epoch at fixed shapes.
 
-    :meth:`forward`, :meth:`energy` and :meth:`backward` write every
-    intermediate into these arrays, so an epoch allocates nothing of size
-    n x d. The gradients :meth:`backward` returns are views into the flat
-    buffer ``grad``, in the order of :func:`init_params`, overwritten by its
-    next call.
+    :meth:`forward` and :meth:`backward` write every intermediate into
+    these arrays, so an epoch allocates nothing of size n x d. The
+    gradients :meth:`backward` writes are the views ``dh0``, ``dw0`` and
+    ``dw1`` into the flat buffer ``grad``, in the order of
+    :func:`init_params`, overwritten by its next call.
 
     Each layer multiplies by its weight before it multiplies by Â, so every
     sparse product is d1 or 1 columns wide: forward ``t0 = h0 w0``,
@@ -346,9 +359,7 @@ class _Workspace:
         self.t1 = np.empty((n, 1), dtype)
         self.z2 = np.empty((n, 1), dtype)
         self.p = np.empty(n)
-        # Q_offdiag p, and the QUBO it belongs to while p is unchanged
-        self.qp = np.empty(n)
-        self.qp_of = None
+        self.qp = np.empty(n)  # Q_offdiag p
         self.dp = np.empty(n)
         self.one_minus_p = np.empty(n)
         self.dz2 = np.empty((n, 1), dtype)
@@ -363,7 +374,6 @@ class _Workspace:
     def forward(self, params: GcnParams, a_hat: Csr) -> np.ndarray:
         """p = sigmoid(Â relu(Â h0 w0) w1) into ``self.p``, which it
         returns. exp may overflow in the sigmoid (see :func:`_sigmoid`)."""
-        self.qp_of = None
         np.matmul(params.h0, params.w0, out=self.t0)
         _spmm(a_hat, self.t0, self.h1)  # z1, rectified in place
         np.maximum(self.h1, 0.0, out=self.h1)
@@ -374,23 +384,15 @@ class _Workspace:
         np.maximum(self.p, _P_EPS, out=self.p)
         return np.minimum(self.p, 1.0 - _P_EPS, out=self.p)
 
-    def energy(self, q: QuboMatrix) -> float:
-        """H(p) at the last :meth:`forward`, as ``q.value(p)`` gives it; the
-        product Q_offdiag p is kept for :meth:`backward`."""
-        _spmm(q._offdiag, self.p, self.qp)
-        self.qp_of = q
-        return q._energy(self.p, self.qp)
+    def backward(self, params: GcnParams, a_hat: Csr, q: QuboMatrix) -> float:
+        """H(p) at the last :meth:`forward` of params, as ``q.value(p)``
+        gives it; the gradients dh0, dw0 and dw1 go into ``grad``.
 
-    def backward(
-        self, params: GcnParams, a_hat: Csr, q: QuboMatrix
-    ) -> list[np.ndarray]:
-        """Gradients [dh0, dw0, dw1] at the last :meth:`forward` of params.
-
-        Â is symmetric, so each adjoint product is Â itself, taken on the
-        narrow side of its layer."""
+        H(p) and dH/dp share one product Q_offdiag p. Â is symmetric, so
+        each adjoint product is Â itself, taken on the narrow side of its
+        layer."""
         p, dp = self.p, self.dp
-        if self.qp_of is not q:
-            _spmm(q._offdiag, p, self.qp)
+        _spmm(q._offdiag, p, self.qp)
         q._energy_gradient(self.qp, out=dp)
         dp *= p
         np.subtract(1.0, p, out=self.one_minus_p)
@@ -406,7 +408,7 @@ class _Workspace:
         _spmm(a_hat, self.dz1, self.u)
         np.matmul(params.h0.T, self.u, out=self.dw0)
         np.matmul(self.u, params.w0.T, out=self.dh0)
-        return [self.dh0, self.dw0, self.dw1]
+        return q._energy(p, self.qp)
 
 
 def forward(
@@ -443,7 +445,8 @@ def backward(
     ws = _Workspace(*params.h0.shape, params.w0.shape[1])
     with np.errstate(over="ignore"):
         ws.forward(params, a_hat)
-    return GcnParams(*ws.backward(params, a_hat, q))
+    ws.backward(params, a_hat, q)
+    return GcnParams(ws.dh0, ws.dw0, ws.dw1)
 
 
 class LossTrace(list):
@@ -582,7 +585,7 @@ _one_blas_thread = _OneBlasThread()
 
 def descend(
     params: np.ndarray,
-    evaluate: Callable[[], tuple[float, Callable[[], np.ndarray]]],
+    evaluate: Callable[[], tuple[float, np.ndarray]],
     cfg: TrainConfig,
     on_best: Callable[[], None] | None = None,
 ) -> LossTrace:
@@ -590,8 +593,8 @@ def descend(
     patience window.
 
     Each epoch ``evaluate()`` returns the loss at the current parameters and
-    a function giving their gradient, an array of the same shape, called
-    only when a step follows.
+    their gradient, an array of the same shape; the last epoch's gradient
+    is not used when the patience window stops the descent.
     ``on_best`` runs whenever the best loss improves. Stops at max_epochs or
     once the best loss gained less than ``tolerance`` over the last
     ``patience`` epochs (a window, so slow steady descent keeps going).
@@ -630,7 +633,7 @@ def descend(
             ):
                 trace.stop_reason = "patience"
                 break
-            opt.step([params], [grad()])
+            opt.step([params], [grad])
     return trace
 
 
@@ -649,7 +652,9 @@ def train(
     an offset large enough to round away their differences in float64
     changes the descent's decisions. Stopping follows :func:`descend`. The
     epoch runs in mixed precision (see the module docstring); losses and p
-    are float64.
+    are float64. Each loss is H(p), as ``q.value(p)`` gives it bit for
+    bit, plus ``loss_offset``; without an offset the trace's last best loss
+    is therefore ``q.value`` of the returned p.
 
     Raises
     ------
@@ -669,11 +674,7 @@ def train(
 
     def evaluate():
         ws.forward(params, a_hat)
-        return ws.energy(q) + loss_offset, gradient
-
-    def gradient():
-        ws.backward(params, a_hat, q)
-        return ws.grad
+        return ws.backward(params, a_hat, q) + loss_offset, ws.grad
 
     def keep_best():
         np.copyto(best_p, ws.p)

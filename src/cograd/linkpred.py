@@ -196,9 +196,7 @@ def train_predictor(
         np.log(s[:m], out=terms[:m])
         np.subtract(1.0, s[m:], out=terms[m:])
         np.log(terms[m:], out=terms[m:])
-        return float(-np.mean(terms)), gradient
-
-    def gradient():
+        loss = float(-np.mean(terms))
         np.subtract(s, y, out=ds)
         np.divide(ds, n_pairs, out=ds)
         np.multiply(z_ends, ds[:, None], out=z_ends)
@@ -207,7 +205,7 @@ def train_predictor(
         np.matmul(dz, w.T, out=dm)
         spmm(a_known, dm, dembed)
         dembed[unobs] += _WEIGHT_DECAY * embed[unobs]
-        return grad
+        return loss, grad
 
     descend(flat, evaluate, cfg)
     return params
@@ -377,8 +375,9 @@ def reconstruction_bce(params: PredictorParams, known: ObservedSample) -> float:
         bi, iv = np.nonzero(block[:, None] < cols)
         iu = block[bi]
         s = np.clip(_decode(z, kept[iu], kept[iv]), _P_EPS, 1.0 - _P_EPS)
-        y = _in_sorted(edge_keys, iu * k + iv).astype(np.float64)
-        total += float(np.sum(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)))
+        # log s on an edge, log(1 - s) off one, as in train_predictor's loss
+        edge = _in_sorted(edge_keys, iu * k + iv)
+        total += float(np.sum(np.log(np.where(edge, s, 1.0 - s))))
     return -total / n_pairs
 
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .gnn import TrainConfig, _check_seed, _real, project_and_repair, train
+from .gnn import TrainConfig, _check_seed, _python_numbers, _real
+from .gnn import project_and_repair, train
 from .graph import Graph, sample_observed_subgraph
 from .linkpred import (
     _SOFT_EDGE_CUTOFF,
@@ -35,7 +36,6 @@ from .qubo import (
     ProblemKind,
     _check_penalty,
     build_qubo,
-    eval_hamiltonian,
     is_feasible,
     objective,
 )
@@ -58,7 +58,8 @@ class PipelineConfig:
     ``seed`` drives the observation sampling; the predictor and solver carry
     their own seeds inside their configs. ``lam`` weighs the predictor's
     reconstruction loss in the reported ``combined_loss`` only; the solver
-    never sees it, so it changes no decision.
+    never sees it, so it changes no decision. A numpy number is kept as its
+    Python equal, ``x.item()``, so the result's JSON can hold it.
     """
 
     kind: ProblemKind
@@ -80,6 +81,7 @@ class PipelineConfig:
             )
         _check_penalty(ProblemKind(self.kind), self.penalty)
         _check_seed(self.seed)
+        _python_numbers(self)
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,9 @@ def end_to_end_solve(g_true: Graph, cfg: PipelineConfig) -> PipelineResult:
     ``l_obj``; a graph with no edge leaves it nothing to learn, so none is
     trained and ``l_obj`` is 0.0. An empty graph counts as fully observed at
     any fraction. A partial observation with no observed edge is a
-    ValueError raised before any training.
+    ValueError raised before any training. ``h_qubo`` is the solver's best
+    loss, which :func:`cograd.gnn.train` computes as ``q.value`` of the p
+    it returns.
     """
     t0 = time.perf_counter()
     kind = ProblemKind(cfg.kind)
@@ -145,9 +149,9 @@ def end_to_end_solve(g_true: Graph, cfg: PipelineConfig) -> PipelineResult:
     else:
         g_pred = g_true
     q_pred = build_qubo(kind, g_pred, cfg.penalty)
-    soft_assignment, _trace = train(g_pred, q_pred, cfg.solver_cfg)
+    soft_assignment, trace = train(g_pred, q_pred, cfg.solver_cfg)
     x = project_and_repair(kind, g_true, soft_assignment, polish=cfg.polish)
-    h_qubo = eval_hamiltonian(q_pred, np.asarray(soft_assignment))
+    h_qubo = trace[-1][2]  # the best loss: H of the p train returns
     return PipelineResult(
         assignment=x,
         problem=kind.value,

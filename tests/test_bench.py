@@ -23,7 +23,7 @@ from cograd.bench import (
 )
 from cograd.gnn import TrainConfig
 from cograd.graph import Graph, generate_d_regular, write_gset
-from cograd.pipeline import PipelineConfig
+from cograd.pipeline import PipelineConfig, end_to_end_solve
 from cograd.qubo import ProblemKind, build_qubo
 from cograd.reference import GSET_BEST_KNOWN, GSET_SIZES, PUBLISHED_CUTS
 
@@ -326,3 +326,37 @@ def test_real_settings_take_ints_and_numpy_numbers():
     assert TrainConfig(learning_rate=np.float32(0.5), tolerance=0).learning_rate == 0.5
     assert PipelineConfig(kind="mis", observe_fraction=np.float64(0.5), lam=2).lam == 2
     assert InstanceSpec("a", generator="erdos-renyi", n=5, p=np.float16(0.5)).p == 0.5
+
+
+_SHORT = TrainConfig(max_epochs=20, patience=20)
+
+
+def _pipeline_json(seed=0, lam=1.0, observe_fraction=0.8) -> dict:
+    cfg = PipelineConfig(kind="mis", observe_fraction=observe_fraction, lam=lam,
+                         predictor_cfg=_SHORT, solver_cfg=_SHORT, seed=seed)
+    doc = json.loads(end_to_end_solve(generate_d_regular(20, 3, 0), cfg).to_json())
+    del doc["runtime_ms"]
+    return doc
+
+
+def _suite_json(n=12, p=0.3, lr=0.01, epochs=10) -> tuple[str, str]:
+    inst = InstanceSpec("a", generator="erdos-renyi", n=n, p=p)
+    report = run_suite(SuiteSpec("mis", (inst,), ("gnn-solver",), lr=lr, epochs=epochs))
+    rows = [{k: v for k, v in row.items() if k != "runtime_ms"} for row in report.rows]
+    return report.metadata["config_digest"], json.dumps(rows)
+
+
+@pytest.mark.parametrize("write, key, value", [
+    pytest.param(_pipeline_json, "seed", np.int64(3), id="PipelineConfig.seed"),
+    pytest.param(_pipeline_json, "lam", np.float32(0.3), id="PipelineConfig.lam"),
+    pytest.param(_pipeline_json, "observe_fraction", np.float32(0.8),
+                 id="PipelineConfig.observe_fraction"),
+    pytest.param(_suite_json, "n", np.int64(12), id="InstanceSpec.n"),
+    pytest.param(_suite_json, "p", np.float32(0.3), id="InstanceSpec.p"),
+    pytest.param(_suite_json, "lr", np.float32(0.01), id="SuiteSpec.lr"),
+    pytest.param(_suite_json, "epochs", np.int64(10), id="SuiteSpec.epochs"),
+])
+def test_numpy_settings_write_the_json_of_their_python_equals(write, key, value):
+    """A result or report from a numpy-number setting is the one its
+    ``x.item()`` gives, in JSON and in the config digest."""
+    assert write(**{key: value}) == write(**{key: value.item()})

@@ -481,16 +481,29 @@ def test_workspace_energy_and_gradient_byte_equal_to_qubo(kind):
     params = init_params(25, 5, 3, seed=6)
     ws = _Workspace(25, 5, 3)
     p = ws.forward(params, a_hat)
-    assert ws.energy(q) == q.value(p)
+    assert ws.backward(params, a_hat, q) == q.value(p)
     assert q._energy_gradient(ws.qp).tobytes() == q.gradient(p).tobytes()
     want = backward(params, a_hat, q).arrays()
-    got = ws.backward(params, a_hat, q)
+    got = [ws.dh0, ws.dw0, ws.dw1]
     assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
-    # the kept product belongs to q: another QUBO's gradient recomputes it
-    ws.energy(q)
-    got = ws.backward(params, a_hat, other)
+    # a second QUBO at the same p gets its own product
+    assert ws.backward(params, a_hat, other) == other.value(p)
     want = backward(params, a_hat, other).arrays()
     assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_best_loss_is_the_energy_of_the_returned_p(kind):
+    """The trace's last best loss is ``q.value`` of the p that train returns,
+    bit for bit, whether the budget or the patience window ends the descent:
+    the pipeline reports it as ``h_qubo``."""
+    g = generate_erdos_renyi(12, 0.3, seed=5)
+    q = build_qubo(kind, g)
+    for cfg, reason in [(TrainConfig(seed=1, max_epochs=150, patience=150), "max_epochs"),
+                        (TrainConfig(seed=1, max_epochs=5000), "patience")]:
+        soft, trace = train(g, q, cfg)
+        assert trace.stop_reason == reason
+        assert trace[-1][2] == q.value(soft.p)
 
 
 def test_init_params_fill_one_buffer():

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import cograd.graph as graph_module
+from cograd.cli import main
 from cograd.graph import (
     Graph,
     GsetFormatError,
@@ -163,6 +165,17 @@ def test_d_regular_edge_cases():
         generate_d_regular(5, 3, seed=0)
     with pytest.raises(ValueError):
         generate_d_regular(4, 4, seed=0)
+
+
+def test_d_regular_gives_up_after_a_bounded_number_of_pairings(monkeypatch):
+    """The complete graph K10 comes out of about one random pairing in 1e13,
+    so the generator gives up: a ValueError naming n, d and the bound, which
+    the CLI turns into exit code 2. The bound is lowered here to keep the
+    test short; at its real size the case fails in about ten seconds."""
+    monkeypatch.setattr(graph_module, "_MAX_PAIRINGS", 2000)
+    with pytest.raises(ValueError, match="9-regular graph on 10 nodes in 2000 "):
+        generate_d_regular(10, 9, seed=0)
+    assert main(["gen", "--n", "10", "--d", "9"]) == 2
 
 
 def test_erdos_renyi_extremes():

@@ -47,12 +47,11 @@ Cases:
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -125,7 +124,7 @@ def dga_local_search(kind: ProblemKind, g: Graph) -> np.ndarray:
     return one_flip_local_search(kind, g, dga(kind, g))
 
 
-@functools.cache
+@cache
 def dfl_result(g: Graph, kind: ProblemKind, seed: int, lam: float = 1.0) -> PipelineResult:
     cfg = PipelineConfig(kind=kind, observe_fraction=0.8, lam=lam, seed=seed,
                          predictor_cfg=fixed_budget(800, seed),

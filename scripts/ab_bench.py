@@ -16,7 +16,12 @@ BENCHMARK.json), their medians and quartiles, the pairs in which the change
 is better or tied, failed and attempted decisions, exit codes and the
 machine. A gain is shown when the change wins at least nine tenths of the
 pairs and its median beats the parent's by more than the parent's
-interquartile range. Run it from the root of a git checkout.
+interquartile range.
+
+It also runs the change's ``scripts/decisions.py`` in a fresh archive of
+each commit and records, under ``decisions``, how many cases there are,
+how many print the same SHA-1 on both sides, and the names of those that
+differ. Run it from the root of a git checkout.
 """
 
 from __future__ import annotations
@@ -157,25 +162,84 @@ def _archive(commit: str, dest: Path) -> None:
         tf.extractall(dest, filter="data")
 
 
-def run_one(commit: str, workload: str, seed: int, workdir: Path) -> dict:
-    """One perfbench run of ``commit`` from a fresh archive, then removed."""
+def _run_archived(
+    commit: str, workdir: Path, argv: list[str], files: dict[str, str] | None = None
+) -> subprocess.CompletedProcess:
+    """``python3 *argv`` in a fresh archive of ``commit``, with
+    PYTHONDONTWRITEBYTECODE=1, after writing each of ``files`` (path
+    relative to the tree: text) into it; the tree is removed after."""
     tree = Path(tempfile.mkdtemp(prefix="ab-", dir=workdir))
     try:
         _archive(commit, tree)
+        for rel, text in (files or {}).items():
+            (tree / rel).write_text(text)
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run(
-            ["python3", "perfbench/run.py", "--workload", workload,
-             "--seed", str(seed), "--trace", "0"],
-            cwd=tree, env=env, capture_output=True, text=True,
+        return subprocess.run(
+            ["python3", *argv], cwd=tree, env=env, capture_output=True, text=True
         )
     finally:
         shutil.rmtree(tree, ignore_errors=True)
+
+
+def run_one(commit: str, workload: str, seed: int, workdir: Path) -> dict:
+    """One perfbench run of ``commit`` from a fresh archive, then removed."""
+    proc = _run_archived(
+        commit, workdir,
+        ["perfbench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"],
+    )
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         result = None
     return {"exit_code": proc.returncode, "result": result}
+
+
+def compare_decisions(parent: str, change: str) -> dict:
+    """The ``decisions`` record of two outputs of ``scripts/decisions.py``.
+
+    Each output holds ``case sha1`` lines; blank lines and lines starting
+    with ``#`` are skipped. A case counts as identical when both outputs
+    print it with the same SHA-1, and differs otherwise, a case printed on
+    one side only included. ``differ`` lists the differing cases in the
+    change's print order, then the parent's.
+    """
+
+    def digests(text: str) -> dict[str, str]:
+        lines = (line.strip() for line in text.splitlines())
+        return dict(
+            line.rpartition(" ")[::2] for line in lines if line and not line.startswith("#")
+        )
+
+    p, c = digests(parent), digests(change)
+    names = list(dict.fromkeys([*c, *p]))
+    differ = [name for name in names if p.get(name) != c.get(name)]
+    return {"cases": len(names), "identical": len(names) - len(differ), "differ": differ}
+
+
+def run_decisions(rev: dict[str, str], workdir: Path) -> dict:
+    """The change's ``scripts/decisions.py`` run in a fresh archive of each
+    commit, compared by :func:`compare_decisions`."""
+    script = subprocess.run(
+        ["git", "-C", str(ROOT), "show", f"{rev['change']}:scripts/decisions.py"],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    procs = {
+        side: _run_archived(
+            rev[side], workdir, ["scripts/decisions.py"], {"scripts/decisions.py": script}
+        )
+        for side in ("parent", "change")
+    }
+    for side, proc in procs.items():
+        print(f"decisions {side}: exit {proc.returncode}", file=sys.stderr, flush=True)
+    return {
+        "method": (
+            "the change's scripts/decisions.py, run in a fresh git archive of each "
+            "commit with PYTHONDONTWRITEBYTECODE=1; cases compared by name"
+        ),
+        **compare_decisions(procs["parent"].stdout, procs["change"].stdout),
+        "exit_codes": {side: proc.returncode for side, proc in procs.items()},
+    }
 
 
 def main(argv=None) -> int:
@@ -231,6 +295,7 @@ def main(argv=None) -> int:
             "beats the parent's by more than the parent's interquartile range"
         ),
         "workloads": summarize(runs, spec["end_to_end"]),
+        "decisions": run_decisions(rev, workdir),
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     return 0

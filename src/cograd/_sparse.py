@@ -1,11 +1,22 @@
-"""Compressed sparse row matrices on numpy arrays, multiplied by scipy's
-compiled CSR kernels.
+"""Sparse products on numpy arrays, by scipy's compiled kernels.
 
-The solver needs of a sparse matrix only its three CSR arrays and the
-product with a dense vector or matrix. :class:`Csr` holds the arrays, and
-:func:`spmm` writes a product into a given buffer through the kernels
-scipy's own ``@`` dispatches to, ``csr_matvec`` and ``csr_matvecs`` in
-``scipy.sparse._sparsetools``. So the products are scipy's, bit for bit.
+The solver and the link predictor need three products: a CSR matrix times
+a dense vector or matrix, and the scatter of weighted rows into a dense
+matrix. :class:`Csr` holds a matrix's three CSR arrays. :func:`bind`
+checks a product ``a @ x -> out`` once and returns it as a call without
+arguments; :func:`spmm` is that call made once. :func:`bind_scatter`
+binds ``out[index[j]] += weights[j] * rows[j]``, for each j in order, from
+zeros. The kernels are the ones scipy's own ``@`` dispatches to, in
+``scipy.sparse._sparsetools``: ``csr_matvec`` for a vector or a single
+column, ``csr_matvecs`` for a wider matrix, and ``csc_matvecs`` for the
+scatter, as a matrix with one column per row scattered. So the products
+are scipy's, bit for bit, and the scatter adds in the order
+``np.add.at`` does.
+
+Binding is safe because an epoch's operands are fixed buffers: a bound
+call holds flat views of them, so it reads whatever they hold when it is
+called, and the shapes, dtypes and contiguity it checked at binding
+cannot change. So a descent checks each product once, not once per epoch.
 
 The kernel module is loaded from its file in scipy's package directory,
 which does not run ``scipy/__init__.py`` or ``scipy/sparse/__init__.py``:
@@ -18,15 +29,16 @@ compiled code either way.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
 from types import ModuleType
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["Csr", "as_csr", "index_dtype", "spmm"]
+__all__ = ["Csr", "as_csr", "bind", "bind_scatter", "index_dtype", "spmm"]
 
 
 def _load_sparsetools() -> ModuleType:
@@ -79,15 +91,17 @@ def as_csr(a) -> Csr:
     return Csr(a.indptr, a.indices, a.data, a.shape)
 
 
-def spmm(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``a @ x`` written into ``out``, which it returns, bit for bit.
+def bind(a, x: np.ndarray, out: np.ndarray) -> Callable[[], np.ndarray]:
+    """A call that writes ``a @ x`` into ``out`` and returns it, bit for
+    bit, reading ``x`` as it is when called.
 
-    ``a`` is a :class:`Csr` or a scipy CSR matrix; ``x`` is a vector or
-    matrix with as many rows as ``a`` has columns; ``out`` is a
+    ``a`` is a :class:`Csr` or a scipy CSR matrix; ``x`` is a C-contiguous
+    vector or matrix with as many rows as ``a`` has columns; ``out`` is a
     C-contiguous array of the product's shape. All three are float64, or
-    all three float32. As in scipy's dispatch, a vector or a single column
-    goes through ``csr_matvec`` and a wider matrix through ``csr_matvecs``;
-    both add into ``out``, which is zeroed first.
+    all three float32. They are checked here, once. As in scipy's dispatch,
+    a vector or a single column goes through ``csr_matvec`` and a wider
+    matrix through ``csr_matvecs``; both add into ``out``, which each call
+    zeroes first.
     """
     a = as_csr(a)
     m, n = a.shape
@@ -99,19 +113,80 @@ def spmm(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         and 1 <= x.ndim <= 2
         and x.shape[0] == n
         and out.shape == (m,) + x.shape[1:]
+        and x.flags.c_contiguous
         and out.flags.c_contiguous
     ):
         raise ValueError(
             f"cannot write a {a.shape} {dtype} CSR matrix times a "
             f"{x.shape} {x.dtype} array into a {out.shape} {out.dtype} array"
         )
-    out.fill(0.0)
+    operands = (a.indptr, a.indices, a.data, x.reshape(-1), out.reshape(-1))
     if x.ndim == 1 or x.shape[1] == 1:
-        _sparsetools.csr_matvec(
-            m, n, a.indptr, a.indices, a.data, x.ravel(), out.ravel()
+        return _bound(out, _sparsetools.csr_matvec, m, n, *operands)
+    return _bound(out, _sparsetools.csr_matvecs, m, n, x.shape[1], *operands)
+
+
+def bind_scatter(
+    index: np.ndarray, weights: np.ndarray, rows: np.ndarray, out: np.ndarray
+) -> Callable[[], np.ndarray]:
+    """A call that zeroes ``out``, adds ``weights[j] * rows[j]`` into row
+    ``index[j]`` of it for each j in order, and returns it: the sums of
+    ``np.add.at(out, index, weights[:, None] * rows)`` from zeros, bit for
+    bit, reading the three inputs as they are when called.
+
+    ``index`` is a C-contiguous integer vector and ``weights`` a
+    C-contiguous vector of its length; ``rows`` and ``out`` are C-contiguous
+    matrices of the same width, ``rows`` with a row per index. ``weights``,
+    ``rows`` and ``out`` are all float64 or all float32. They are checked
+    here, once. The caller keeps every entry of ``index`` a row number of
+    ``out`` (``0 <= index[j] < len(out)``) whenever it calls: the kernel
+    writes where they point and does not check them.
+
+    The scatter is ``csc_matvecs`` of the ``len(out) x len(index)`` CSC
+    matrix whose column j holds ``weights[j]`` in row ``index[j]``, times
+    ``rows``: the kernel walks the columns in order and adds
+    ``weights[j] * rows[j]`` into its row.
+    """
+    count = len(index)
+    dtype = out.dtype
+    if not (
+        index.ndim == 1
+        and index.dtype.kind in "iu"
+        and weights.shape == (count,)
+        and rows.ndim == out.ndim == 2
+        and rows.shape == (count, out.shape[1])
+        and weights.dtype == rows.dtype == dtype
+        and dtype in _FLOATS
+        and all(v.flags.c_contiguous for v in (index, weights, rows, out))
+    ):
+        raise ValueError(
+            f"cannot scatter {rows.shape} {rows.dtype} rows at a {index.shape} "
+            f"{index.dtype} index with {weights.shape} {weights.dtype} weights "
+            f"into a {out.shape} {out.dtype} array"
         )
-    else:
-        _sparsetools.csr_matvecs(
-            m, n, x.shape[1], a.indptr, a.indices, a.data, x.ravel(), out.ravel()
-        )
-    return out
+    # one entry per column; sparsetools needs both index arrays of one dtype
+    colptr = np.arange(count + 1, dtype=index.dtype)
+    return _bound(
+        out, _sparsetools.csc_matvecs, len(out), count, out.shape[1],
+        colptr, index, weights, rows.reshape(-1), out.reshape(-1),
+    )
+
+
+def _bound(out: np.ndarray, kernel, *args) -> Callable[[], np.ndarray]:
+    """``kernel(*args)``, which adds into ``out``, as a call that zeroes
+    ``out`` first and returns it."""
+    fill, call = out.fill, functools.partial(kernel, *args)
+
+    def product() -> np.ndarray:
+        fill(0.0)
+        call()
+        return out
+
+    return product
+
+
+def spmm(a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ x`` written into ``out``, which it returns, bit for bit: the
+    product :func:`bind` checks, called once. ``x`` need not be
+    C-contiguous here; a strided ``x`` is copied first."""
+    return bind(a, x if x.flags.c_contiguous else x.copy(), out)()

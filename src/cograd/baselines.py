@@ -140,8 +140,9 @@ def greedy_flip(g: Graph, x: np.ndarray, value: int, descending: bool = False) -
     redundant ones (value 1).
 
     A flip makes v's neighbours ineligible and no node becomes eligible, so
-    only the nodes eligible at the start are walked. Each one still
-    eligible when reached is flipped, and its neighbours are struck off.
+    only the nodes eligible at the start are walked, and only their rows of
+    the adjacency are read. Each one not struck off when reached is
+    flipped, and its neighbours are struck off.
     """
     eligible = x == value
     other = ~eligible
@@ -150,13 +151,20 @@ def greedy_flip(g: Graph, x: np.ndarray, value: int, descending: bool = False) -
     order = np.flatnonzero(eligible)
     if not order.size:
         return
-    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    # the walked nodes' rows, one after another in index order: node
+    # order[i]'s row is rows[bounds[i]:bounds[i + 1]]
+    count = np.diff(g.indptr)
+    rows = g.indices[np.repeat(eligible, count)].tolist()
+    bounds = np.zeros(order.size + 1, dtype=np.int64)
+    np.cumsum(count[order], out=bounds[1:])
+    nodes, bounds = order.tolist(), bounds.tolist()
     live = eligible.tolist()
     flips = []
-    for v in order[::-1].tolist() if descending else order.tolist():
+    for i in range(order.size - 1, -1, -1) if descending else range(order.size):
+        v = nodes[i]
         if live[v]:
             flips.append(v)
-            for u in indices[indptr[v] : indptr[v + 1]]:
+            for u in rows[bounds[i] : bounds[i + 1]]:
                 live[u] = False
     x[flips] = 1 - value
 

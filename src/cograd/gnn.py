@@ -29,20 +29,21 @@ products on the same narrow side, 1 and d1 columns wide, and an epoch's
 sparse work is 2 d1 + 2 columns instead of 2 d0 + 2 d1. The dense products
 cost the same in either order.
 
-The sparse products go through :func:`_spmm` (``cograd._sparse.spmm``),
-which writes ``a @ x`` into a workspace buffer by calling the compiled
-kernel that scipy's ``@`` calls, ``csr_matvec`` or ``csr_matvecs`` in
-``scipy.sparse._sparsetools``. scipy offers no ``out=`` for a sparse-dense
-product, and its ``@`` pays for argument dispatch and a fresh zeroed
-result on every call, a cost that does not shrink with n. :func:`train`
-builds Â once per call as a ``Csr`` record of its three arrays, so an
-epoch touches no scipy object, and each product checks only its buffers.
-The kernel is private to scipy and is loaded from its file, because
-importing ``scipy.sparse`` takes longer than a short solve; so
-:func:`_spmm` stays private here, and a test pins it, byte for byte, to
-scipy's ``a @ x`` on scipy matrices and records alike. The public
-:func:`forward` and :func:`backward` take a scipy CSR matrix, as
-:func:`cograd.graph.renormalized_adjacency` returns.
+The sparse products write ``a @ x`` into a workspace buffer through the
+compiled kernel that scipy's ``@`` calls, ``csr_matvec`` or
+``csr_matvecs`` in ``scipy.sparse._sparsetools``. scipy offers no
+``out=`` for a sparse-dense product, and its ``@`` pays for argument
+dispatch and a fresh zeroed result on every call, a cost that does not
+shrink with n. :func:`train` builds Â once per call as a ``Csr`` record
+of its three arrays, and the workspace binds its five products, the four
+with Â and Q_offdiag p, once (``cograd._sparse.bind``): each is checked
+when it is bound, and an epoch calls it with no argument and no check, so
+an epoch touches no scipy object. The kernel is private to scipy and is
+loaded from its file, because importing ``scipy.sparse`` takes longer than
+a short solve; so the binding stays private here, and a test pins it,
+byte for byte, to scipy's ``a @ x`` on scipy matrices and records alike.
+The public :func:`forward` and :func:`backward` take a scipy CSR matrix,
+as :func:`cograd.graph.renormalized_adjacency` returns.
 
 The sigmoid is 1 / (1 + exp(-z)) in numpy (:func:`_sigmoid`), which is
 within 4 ULP of ``scipy.special.expit``. Its last bits follow numpy's
@@ -100,7 +101,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 import numpy as np
 
 from ._sparse import Csr, as_csr
-from ._sparse import spmm as _spmm
+from ._sparse import bind as _bind
 from .baselines import greedy_flip, one_flip_local_search
 from .graph import Graph, _renormalized_csr
 from .qubo import BinaryAssignment, ProblemKind, QuboMatrix
@@ -333,13 +334,16 @@ def _check_shapes(params: GcnParams, a_hat: Csr) -> None:
 
 
 class _Workspace:
-    """Buffers of one solver epoch at fixed shapes.
+    """Buffers of one solver epoch at fixed shapes, and the epoch's sparse
+    products with Â and, when a QUBO ``q`` is given, Q_offdiag, bound to
+    them once.
 
     :meth:`forward` and :meth:`backward` write every intermediate into
     these arrays, so an epoch allocates nothing of size n x d. The
     gradients :meth:`backward` writes are the views ``dh0``, ``dw0`` and
     ``dw1`` into the flat buffer ``grad``, in the order of
-    :func:`init_params`, overwritten by its next call.
+    :func:`init_params`, overwritten by its next call. :meth:`backward`
+    needs ``q``.
 
     Each layer multiplies by its weight before it multiplies by Â, so every
     sparse product is d1 or 1 columns wide: forward ``t0 = h0 w0``,
@@ -353,7 +357,17 @@ class _Workspace:
     (p, Q_offdiag p, dH/dp) are float64 whatever ``dtype`` is.
     """
 
-    def __init__(self, n: int, d0: int, d1: int, *, dtype: type = np.float64):
+    def __init__(
+        self,
+        a_hat: Csr,
+        d0: int,
+        d1: int,
+        q: QuboMatrix | None = None,
+        *,
+        dtype: type = np.float64,
+    ):
+        n = a_hat.shape[0]
+        self.q = q
         self.t0 = np.empty((n, d1), dtype)
         self.h1 = np.empty((n, d1), dtype)
         self.t1 = np.empty((n, 1), dtype)
@@ -370,42 +384,48 @@ class _Workspace:
         self.grad, (self.dh0, self.dw0, self.dw1) = _carve(
             _gcn_shapes(n, d0, d1), dtype
         )
+        self.a_t0 = _bind(a_hat, self.t0, self.h1)  # z1, rectified in place
+        self.a_t1 = _bind(a_hat, self.t1, self.z2)
+        self.a_dz2 = _bind(a_hat, self.dz2, self.v)
+        self.a_dz1 = _bind(a_hat, self.dz1, self.u)
+        if q is not None:
+            self.q_p = _bind(q._offdiag, self.p, self.qp)
 
-    def forward(self, params: GcnParams, a_hat: Csr) -> np.ndarray:
+    def forward(self, params: GcnParams) -> np.ndarray:
         """p = sigmoid(Â relu(Â h0 w0) w1) into ``self.p``, which it
         returns. exp may overflow in the sigmoid (see :func:`_sigmoid`)."""
         np.matmul(params.h0, params.w0, out=self.t0)
-        _spmm(a_hat, self.t0, self.h1)  # z1, rectified in place
+        self.a_t0()
         np.maximum(self.h1, 0.0, out=self.h1)
         np.matmul(self.h1, params.w1, out=self.t1)
-        _spmm(a_hat, self.t1, self.z2)
+        self.a_t1()
         _sigmoid(self.z2[:, 0], out=self.p)  # widened to float64 exactly
         # np.clip(p, eps, 1 - eps) bit for bit, without its Python wrapper
         np.maximum(self.p, _P_EPS, out=self.p)
         return np.minimum(self.p, 1.0 - _P_EPS, out=self.p)
 
-    def backward(self, params: GcnParams, a_hat: Csr, q: QuboMatrix) -> float:
+    def backward(self, params: GcnParams) -> float:
         """H(p) at the last :meth:`forward` of params, as ``q.value(p)``
         gives it; the gradients dh0, dw0 and dw1 go into ``grad``.
 
         H(p) and dH/dp share one product Q_offdiag p. Â is symmetric, so
         each adjoint product is Â itself, taken on the narrow side of its
         layer."""
-        p, dp = self.p, self.dp
-        _spmm(q._offdiag, p, self.qp)
+        p, dp, q = self.p, self.dp, self.q
+        self.q_p()
         q._energy_gradient(self.qp, out=dp)
         dp *= p
         np.subtract(1.0, p, out=self.one_minus_p)
         # dz2 = dH/dp p (1 - p), computed in float64 and stored in dtype
         np.multiply(dp, self.one_minus_p, out=self.dz2[:, 0])
-        _spmm(a_hat, self.dz2, self.v)
+        self.a_dz2()
         np.matmul(self.h1.T, self.v, out=self.dw1)
         # v w1^T as a broadcast: a matmul with inner width 1 is slower
         np.multiply(self.v, params.w1.T, out=self.dz1)
         # h1 = relu(z1) is positive exactly where z1 is
         np.greater(self.h1, 0.0, out=self.relu_mask)
         np.multiply(self.dz1, self.relu_mask, out=self.dz1)
-        _spmm(a_hat, self.dz1, self.u)
+        self.a_dz1()
         np.matmul(params.h0.T, self.u, out=self.dw0)
         np.matmul(self.u, params.w0.T, out=self.dh0)
         return q._energy(p, self.qp)
@@ -420,9 +440,9 @@ def forward(
     returns. Returns a new array on every call."""
     a_hat = as_csr(a_hat)
     _check_shapes(params, a_hat)
-    ws = _Workspace(*params.h0.shape, params.w0.shape[1])
+    ws = _Workspace(a_hat, *params.w0.shape)
     with np.errstate(over="ignore"):
-        return SoftAssignment(ws.forward(params, a_hat))
+        return SoftAssignment(ws.forward(params))
 
 
 def relaxed_loss(p: SoftAssignment | np.ndarray, q: QuboMatrix) -> float:
@@ -442,10 +462,10 @@ def backward(
     """
     a_hat = as_csr(a_hat)
     _check_shapes(params, a_hat)
-    ws = _Workspace(*params.h0.shape, params.w0.shape[1])
+    ws = _Workspace(a_hat, *params.w0.shape, q)
     with np.errstate(over="ignore"):
-        ws.forward(params, a_hat)
-    ws.backward(params, a_hat, q)
+        ws.forward(params)
+    ws.backward(params)
     return GcnParams(ws.dh0, ws.dw0, ws.dw1)
 
 
@@ -619,7 +639,7 @@ def descend(
     with _one_blas_thread, np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.max_epochs + 1):
             loss, grad = evaluate()
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
             if loss < best_loss:
                 best_loss = loss
@@ -669,12 +689,12 @@ def train(
     # init_params' float64 draws, each rounded once to float32
     flat = init_params(g.n, d0, d1, cfg.seed).h0.base.astype(np.float32)
     params = GcnParams(*_views(flat, _gcn_shapes(g.n, d0, d1)))
-    ws = _Workspace(g.n, d0, d1, dtype=np.float32)
+    ws = _Workspace(a_hat, d0, d1, q, dtype=np.float32)
     best_p = np.empty(g.n)
 
     def evaluate():
-        ws.forward(params, a_hat)
-        return ws.backward(params, a_hat, q) + loss_offset, ws.grad
+        ws.forward(params)
+        return ws.backward(params) + loss_offset, ws.grad
 
     def keep_best():
         np.copyto(best_p, ws.p)

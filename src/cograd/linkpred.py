@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._sparse import spmm
+from ._sparse import bind, bind_scatter, spmm
 from .gnn import _P_EPS, TrainConfig, _carve, _dims, _draw_normal, _sigmoid, descend
 from .graph import Graph, ObservedSample, _check_endpoints, _endpoint_arrays
 from .graph import _renormalized_csr
@@ -44,6 +44,10 @@ _WEIGHT_DECAY = 1e-4
 _SOFT_EDGE_CUTOFF = 1e-3
 # entries of the score or pair arrays built at once, per block of rows
 _BLOCK = 1 << 14
+# rows of scores _top_partners builds at once at least: past _BLOCK // n
+# rows a block would be one row, and a product of one row against z.T
+# takes longer per row than one of a few dozen rows
+_TOP_ROWS = 32
 
 
 @dataclass
@@ -128,7 +132,12 @@ def train_predictor(
 
     As in :func:`cograd.gnn.train`, the parameters and their gradient each
     live in one flat buffer, and every epoch writes into buffers allocated
-    once per call.
+    once per call. The two products with Â_known and the scatter of the
+    pair gradients into dz are bound to those buffers once per call
+    (:mod:`cograd._sparse`), so an epoch checks none of them. The scatter
+    is one compiled CSC product that adds ds times the other end's code
+    into each end's row in pair order, from zeros: ``np.add.at``'s sums,
+    bit for bit.
 
     Raises
     ------
@@ -156,12 +165,14 @@ def train_predictor(
     n_pairs = m + n_neg
     # ends[0] and ends[1] hold the scored pairs' first and second ends, the
     # observed edges before the negatives; ends.ravel() is the scatter's
-    # input order. z is gathered through the reversed view ends[::-1], at
-    # the other end of each pair, so that scaling the gathered rows by ds
-    # gives the rows the scatter adds.
+    # row order. others holds each end's other end, ends[::-1] made
+    # contiguous: z is gathered through it, so that row j of z_ends is the
+    # code that ds[j] scales into row ends.ravel()[j] of dz.
     ends = np.empty((2, n_pairs), dtype=np.int64)
     ends[0, :m] = kept[og.edge_u]
     ends[1, :m] = kept[og.edge_v]
+    others = np.empty((2, n_pairs), dtype=np.int64)
+    others[:, :m] = ends[::-1, :m]
     neg_obs = np.empty((2, n_neg), dtype=np.int64)
     y = np.concatenate([np.ones(m), np.zeros(n_neg)])
     unobs = np.setdiff1d(np.arange(full_n), kept)
@@ -173,20 +184,29 @@ def train_predictor(
     prod = np.empty((n_pairs, d_z))
     s = np.empty(n_pairs)
     terms = np.empty(n_pairs)
-    ds = np.empty(n_pairs)
+    # ds once per end: the weights of the scatter, in ends.ravel()'s order
+    ds_ends = np.empty((2, n_pairs))
+    ds = ds_ends[0]
     dz = np.empty((full_n, d_z))
     dm = np.empty((full_n, d_in))
     grad, (dembed, dw) = _carve(shapes)
+    a_embed = bind(a_known, embed, m_in)
+    a_dm = bind(a_known, dm, dembed)
+    scatter = bind_scatter(
+        ends.reshape(-1), ds_ends.reshape(-1), z_ends.reshape(-1, d_z), dz
+    )
 
     def evaluate():
         if n_neg:
             _sample_non_edges(rng, k, edge_keys, neg_obs)
             np.take(kept, neg_obs, out=ends[:, m:])
-        spmm(a_known, embed, m_in)
+            np.take(kept, neg_obs[::-1], out=others[:, m:])
+        a_embed()
         np.matmul(m_in, w, out=z)
-        np.take(z, ends[::-1], axis=0, out=z_ends)
+        np.take(z, others, axis=0, out=z_ends)
         np.multiply(z_u, z_v, out=prod)
-        np.sum(prod, axis=1, out=s)
+        # np.sum and np.mean bit for bit, without their Python wrappers
+        np.add.reduce(prod, axis=1, out=s)
         _sigmoid(s, out=s)
         # np.clip(s, eps, 1 - eps) bit for bit, without its Python wrapper
         np.maximum(s, _P_EPS, out=s)
@@ -196,26 +216,19 @@ def train_predictor(
         np.log(s[:m], out=terms[:m])
         np.subtract(1.0, s[m:], out=terms[m:])
         np.log(terms[m:], out=terms[m:])
-        loss = float(-np.mean(terms))
+        loss = float(-(np.add.reduce(terms) / n_pairs))
         np.subtract(s, y, out=ds)
         np.divide(ds, n_pairs, out=ds)
-        np.multiply(z_ends, ds[:, None], out=z_ends)
-        _scatter_rows(ends.ravel(), z_ends.reshape(2 * n_pairs, d_z), dz)
+        ds_ends[1] = ds
+        scatter()
         np.matmul(m_in.T, dz, out=dw)
         np.matmul(dz, w.T, out=dm)
-        spmm(a_known, dm, dembed)
+        a_dm()
         dembed[unobs] += _WEIGHT_DECAY * embed[unobs]
         return loss, grad
 
     descend(flat, evaluate, cfg)
     return params
-
-
-def _scatter_rows(index: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    """out[index[i]] += rows[i] for each i in order, from zeros: the sums of
-    ``np.add.at(out, index, rows)``, bit for bit, one bincount per column."""
-    for c, col in enumerate(rows.T):
-        out[:, c] = np.bincount(index, weights=col, minlength=len(out))
 
 
 def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -264,10 +277,10 @@ def _decode(z: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return _sigmoid(s, out=s)
 
 
-def _row_blocks(rows: np.ndarray, width: int):
+def _row_blocks(rows: np.ndarray, width: int, least: int = 1):
     """Consecutive slices of ``rows`` whose (rows x width) arrays hold at
-    most _BLOCK entries (one row at least)."""
-    step = max(1, _BLOCK // max(width, 1))
+    most _BLOCK entries, or ``least`` rows where that is more."""
+    step = max(least, _BLOCK // max(width, 1))
     for r0 in range(0, len(rows), step):
         yield rows[r0 : r0 + step]
 
@@ -275,12 +288,14 @@ def _row_blocks(rows: np.ndarray, width: int):
 def _top_partners(z: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     """Canonical keys u * n + v (u < v, ascending, unique) of the pairs that
     join each of ``rows`` to its k highest-scoring other nodes; among equal
-    scores the smaller index wins."""
+    scores the smaller index wins. Each row is chosen on its own, so the
+    keys do not depend on the block size; blocks hold _BLOCK scores, or
+    _TOP_ROWS rows of n where that is more."""
     n = z.shape[0]
     keys = [np.zeros(0, dtype=np.int64)]
     if k == 0:  # a lone node has no partner
         return keys[0]
-    for block in _row_blocks(rows, n):
+    for block in _row_blocks(rows, n, least=_TOP_ROWS):
         scores = z[block] @ z.T
         scores[np.arange(len(block)), block] = -np.inf
         # every score above the k-th largest, then as many of the scores

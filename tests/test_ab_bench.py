@@ -93,3 +93,15 @@ def test_a_run_without_result_leaves_its_seed_unpaired():
     assert s["metrics"]["wall_s"]["parent"]["runs"] == [1.0]
     assert out["suite-small"]["failed"] == {"parent": 2, "change": 0}
     assert out["suite-small"]["metrics"]["wall_s"]["tied_pairs"] == 1
+
+
+def test_compare_decisions_counts_cases_and_names_the_ones_that_differ():
+    parent = "a/x 111\nb/y 222\n# 15.8 s\nc/z 333\nold 444\n"
+    change = "\na/x 111\nb/y 999\nc/z 333\nnew 555\n# 12.7 s\n"
+    assert ab_bench.compare_decisions(parent, change) == {
+        "cases": 5, "identical": 2, "differ": ["b/y", "new", "old"],
+    }
+    same = ab_bench.compare_decisions(parent, parent)
+    assert same == {"cases": 4, "identical": 4, "differ": []}
+    # a side that printed nothing differs on every case
+    assert ab_bench.compare_decisions("", change)["identical"] == 0

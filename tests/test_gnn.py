@@ -12,6 +12,7 @@ from scipy.special import expit
 
 from cograd import gnn
 from cograd._sparse import Csr
+from cograd._sparse import spmm as _spmm
 from cograd.graph import (
     Graph,
     generate_d_regular,
@@ -26,7 +27,6 @@ from cograd.gnn import (
     TrainingDivergedError,
     _P_EPS,
     _Workspace,
-    _spmm,
     backward,
     default_dims,
     export_loss_trace,
@@ -225,10 +225,11 @@ def test_forward_backward_return_fresh_arrays():
     q = build_qubo(ProblemKind.MIS, g)
     a_hat = renormalized_adjacency(g)
     params = init_params(20, 5, 3, seed=4)
-    ws = _Workspace(20, 5, 3)
-    ws.forward(params, a_hat)
-    ws.backward(params, a_hat, q)
-    buffers = list(vars(ws).values()) + params.arrays()
+    ws = _Workspace(a_hat, 5, 3, q)
+    ws.forward(params)
+    ws.backward(params)
+    buffers = [x for x in vars(ws).values() if isinstance(x, np.ndarray)]
+    buffers += params.arrays()
     first = backward(params, a_hat, q).arrays() + [np.asarray(forward(params, a_hat))]
     second = backward(params, a_hat, q).arrays() + [np.asarray(forward(params, a_hat))]
     for x, y in zip(first, second):
@@ -356,14 +357,19 @@ def test_sparse_products_are_d1_or_one_column_wide(monkeypatch, dims):
     assert d0 != d1
     # the column count of each product with Â, in call order;
     # Q_offdiag p is the one product on a vector
-    widths, spmm = [], gnn._spmm
+    widths, bind = [], gnn._bind
 
     def recording(a, x, out):
-        if x.ndim == 2:
-            widths.append(x.shape[1])
-        return spmm(a, x, out)
+        product = bind(a, x, out)
 
-    monkeypatch.setattr(gnn, "_spmm", recording)
+        def call():
+            if x.ndim == 2:
+                widths.append(x.shape[1])
+            return product()
+
+        return call
+
+    monkeypatch.setattr(gnn, "_bind", recording)
     train(g, q, TrainConfig(max_epochs=1, d0=d0, d1=d1))
     assert widths == [d1, 1, 1, d1]
     widths.clear()
@@ -479,15 +485,18 @@ def test_workspace_energy_and_gradient_byte_equal_to_qubo(kind):
     other = build_qubo(ProblemKind.MAXCUT, generate_erdos_renyi(25, 0.3, seed=7))
     a_hat = renormalized_adjacency(g)
     params = init_params(25, 5, 3, seed=6)
-    ws = _Workspace(25, 5, 3)
-    p = ws.forward(params, a_hat)
-    assert ws.backward(params, a_hat, q) == q.value(p)
+    ws = _Workspace(a_hat, 5, 3, q)
+    p = ws.forward(params)
+    assert ws.backward(params) == q.value(p)
     assert q._energy_gradient(ws.qp).tobytes() == q.gradient(p).tobytes()
     want = backward(params, a_hat, q).arrays()
     got = [ws.dh0, ws.dw0, ws.dw1]
     assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
-    # a second QUBO at the same p gets its own product
-    assert ws.backward(params, a_hat, other) == other.value(p)
+    # a workspace bound to a second QUBO gets its own product at the same p
+    ws = _Workspace(a_hat, 5, 3, other)
+    assert ws.forward(params).tobytes() == p.tobytes()
+    assert ws.backward(params) == other.value(p)
+    got = [ws.dh0, ws.dw0, ws.dw1]
     want = backward(params, a_hat, other).arrays()
     assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
 

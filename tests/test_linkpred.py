@@ -15,6 +15,7 @@ from cograd.graph import (
     renormalized_adjacency,
     sample_observed_subgraph,
 )
+from cograd import linkpred
 from cograd.linkpred import (
     PredictorParams,
     SoftAdjacency,
@@ -373,6 +374,28 @@ def test_tied_scores_go_to_smaller_index():
         want |= {(min(a, b), max(a, b)) for b in others}
     assert got == want
     assert (6, 7) not in got and (2, 3) in got
+
+
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_top_partners_row_floor_keeps_the_keys_of_one_row_blocks(monkeypatch, k):
+    # a _BLOCK of 8 entries holds no row of 300 scores, so every block is
+    # as tall as the floor; rows 150.. repeat rows 0.. and every seventh
+    # row is zero, so many scores tie
+    n = 300
+    z = np.random.default_rng(5).normal(size=(n, 6))
+    z[150:] = z[:150]
+    z[::7] = 0.0
+    rows = np.arange(0, n, 2)
+    monkeypatch.setattr(linkpred, "_BLOCK", 8)
+    floor = linkpred._TOP_ROWS
+    assert floor == 32
+    sizes = [len(b) for b in linkpred._row_blocks(rows, n, least=floor)]
+    assert sizes == [32, 32, 32, 32, 22]
+    got = linkpred._top_partners(z, rows, k)
+    monkeypatch.setattr(linkpred, "_TOP_ROWS", 1)
+    want = linkpred._top_partners(z, rows, k)
+    assert got.tobytes() == want.tobytes()
+    assert len(np.unique(want)) == len(want) >= len(rows) * k // 2
 
 
 def test_predict_adjacency_memory_is_far_below_dense():

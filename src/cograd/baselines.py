@@ -151,20 +151,17 @@ def greedy_flip(g: Graph, x: np.ndarray, value: int, descending: bool = False) -
     order = np.flatnonzero(eligible)
     if not order.size:
         return
-    # the walked nodes' rows, one after another in index order: node
-    # order[i]'s row is rows[bounds[i]:bounds[i + 1]]
-    count = np.diff(g.indptr)
-    rows = g.indices[np.repeat(eligible, count)].tolist()
-    bounds = np.zeros(order.size + 1, dtype=np.int64)
-    np.cumsum(count[order], out=bounds[1:])
-    nodes, bounds = order.tolist(), bounds.tolist()
-    live = eligible.tolist()
-    flips = []
-    for i in range(order.size - 1, -1, -1) if descending else range(order.size):
-        v = nodes[i]
+    # the adjacency of the eligible nodes alone, as Python lists: node v's
+    # row is rows[bounds[v]:bounds[v + 1]], empty unless v is eligible
+    degree = np.diff(g.indptr)
+    rows = g.indices[np.repeat(eligible, degree)].tolist()
+    bounds = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(degree * eligible, out=bounds[1:])
+    bounds, live, flips = bounds.tolist(), eligible.tolist(), []
+    for v in order[::-1].tolist() if descending else order.tolist():
         if live[v]:
             flips.append(v)
-            for u in rows[bounds[i] : bounds[i + 1]]:
+            for u in rows[bounds[v] : bounds[v + 1]]:
                 live[u] = False
     x[flips] = 1 - value
 

@@ -12,7 +12,10 @@ and each unobserved node keeps only its highest-scoring partners, as many
 as the observed mean degree: about as many predicted edges as true ones.
 Scores are computed in row blocks of bounded size, and the reconstruction
 loss sums its terms block by block, so memory grows with the nodes and the
-predicted pairs, not with their squares.
+predicted pairs, not with their squares. The reconstruction loss scores a
+block of rows against the rows from its first onwards in one broadcast
+product and gathers no code per pair; its time still grows with the
+square of the observed nodes.
 """
 
 from __future__ import annotations
@@ -159,8 +162,7 @@ def train_predictor(
 
     kept = sample.kept_nodes
     m, k = og.m, og.n
-    # canonical keys of observed edges, in observed index space (ascending)
-    edge_keys = og.edge_u * k + og.edge_v
+    taken = _taken_keys(og)
     n_neg = m if k * (k - 1) // 2 - m > 0 else 0
     n_pairs = m + n_neg
     # ends[0] and ends[1] hold the scored pairs' first and second ends, the
@@ -175,7 +177,9 @@ def train_predictor(
     others[:, :m] = ends[::-1, :m]
     neg_obs = np.empty((2, n_neg), dtype=np.int64)
     y = np.concatenate([np.ones(m), np.zeros(n_neg)])
-    unobs = np.setdiff1d(np.arange(full_n), kept)
+    # the weight decay's rate per row: only unobserved rows feel it
+    decay = np.full((full_n, 1), _WEIGHT_DECAY)
+    decay[kept] = 0.0
 
     m_in = np.empty((full_n, d_in))
     z = np.empty((full_n, d_z))
@@ -188,7 +192,9 @@ def train_predictor(
     ds_ends = np.empty((2, n_pairs))
     ds = ds_ends[0]
     dz = np.empty((full_n, d_z))
-    dm = np.empty((full_n, d_in))
+    # m_in is dead once dw is taken, so dz @ w.T, and after it the weight
+    # decay's terms, go into its buffer
+    dm = m_in
     grad, (dembed, dw) = _carve(shapes)
     a_embed = bind(a_known, embed, m_in)
     a_dm = bind(a_known, dm, dembed)
@@ -197,13 +203,15 @@ def train_predictor(
     )
 
     def evaluate():
+        # every index is in range: mode="clip" spares np.take the copy of
+        # ``out`` that mode="raise" makes
         if n_neg:
-            _sample_non_edges(rng, k, edge_keys, neg_obs)
-            np.take(kept, neg_obs, out=ends[:, m:])
-            np.take(kept, neg_obs[::-1], out=others[:, m:])
+            _sample_non_edges(rng, k, taken, neg_obs)
+            np.take(kept, neg_obs, out=ends[:, m:], mode="clip")
+            np.take(kept, neg_obs[::-1], out=others[:, m:], mode="clip")
         a_embed()
         np.matmul(m_in, w, out=z)
-        np.take(z, others, axis=0, out=z_ends)
+        np.take(z, others, axis=0, out=z_ends, mode="clip")
         np.multiply(z_u, z_v, out=prod)
         # np.sum and np.mean bit for bit, without their Python wrappers
         np.add.reduce(prod, axis=1, out=s)
@@ -224,25 +232,34 @@ def train_predictor(
         np.matmul(m_in.T, dz, out=dw)
         np.matmul(dz, w.T, out=dm)
         a_dm()
-        dembed[unobs] += _WEIGHT_DECAY * embed[unobs]
+        # dembed[unobs] += wd * embed[unobs] bit for bit: a kept row adds a
+        # zero, and dembed holds no -0.0, as the product sums from +0.0
+        np.multiply(embed, decay, out=dm)
+        np.add(dembed, dm, out=dembed)
         return loss, grad
 
     descend(flat, evaluate, cfg)
     return params
 
 
-def _in_sorted(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Which of ``keys`` occur in the ascending array ``sorted_keys``."""
-    if len(sorted_keys) == 0:
-        return np.zeros(keys.shape, dtype=bool)
-    pos = np.searchsorted(sorted_keys, keys)
-    return sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == keys
+def _taken_keys(og: Graph) -> np.ndarray:
+    """The ascending keys u * k + v (u <= v) that :func:`_sample_non_edges`
+    rejects on the k-node observed graph ``og``: its edges and the k
+    self-pairs, followed by the sentinel k * k, which exceeds every pair's
+    key so that a search never runs off the end."""
+    k = og.n
+    keys = np.concatenate(
+        [og.edge_u * k + og.edge_v, np.arange(k) * (k + 1), [k * k]]
+    )
+    keys.sort()
+    return keys
 
 
-def _sample_non_edges(rng, k: int, edge_keys: np.ndarray, out: np.ndarray) -> None:
+def _sample_non_edges(rng, k: int, taken: np.ndarray, out: np.ndarray) -> None:
     """Fill the (2, count) array ``out`` with uniform observed-index pairs
-    (u < v) that are not observed edges; ``edge_keys`` (u * k + v of the
-    observed edges) must be ascending."""
+    (u < v) that are not observed edges; ``taken`` is :func:`_taken_keys`
+    of the observed graph. Each round draws the pairs still missing and
+    keeps those whose key is not in ``taken``."""
     out_u, out_v = out
     count = out.shape[1]
     got = 0
@@ -250,7 +267,8 @@ def _sample_non_edges(rng, k: int, edge_keys: np.ndarray, out: np.ndarray) -> No
         cand = rng.integers(0, k, size=(2, count - got))
         u = np.minimum(cand[0], cand[1])
         v = np.maximum(cand[0], cand[1])
-        ok = (u != v) & ~_in_sorted(edge_keys, u * k + v)
+        keys = u * k + v
+        ok = taken[np.searchsorted(taken, keys)] != keys
         take = int(np.sum(ok))
         out_u[got : got + take] = u[ok]
         out_v[got : got + take] = v[ok]
@@ -374,7 +392,11 @@ def reconstruction_bce(params: PredictorParams, known: ObservedSample) -> float:
     so a perfectly reconstructing encoder scores near 0. The pairs are
     scored in row blocks of bounded size, in row-major order, and each
     block's sum joins a running total, so memory stays bounded however many
-    pairs there are. Deterministic.
+    pairs there are. A block of rows r0..r1 of the observed codes is
+    multiplied against rows r0 onwards in one broadcast product, whose
+    pairs above the diagonal it keeps; its edge labels come from the
+    block's slice of the canonical edge list. No code is gathered per
+    pair. Deterministic.
     """
     kept = known.kept_nodes
     og = known.observed_graph
@@ -382,17 +404,25 @@ def reconstruction_bce(params: PredictorParams, known: ObservedSample) -> float:
     n_pairs = k * (k - 1) // 2
     if n_pairs == 0:
         return 0.0
-    z = _encode(params, known)
-    edge_keys = og.edge_u * k + og.edge_v
+    z = _encode(params, known)[kept]
     cols = np.arange(k)
     total = 0.0
     for block in _row_blocks(cols, k):
-        bi, iv = np.nonzero(block[:, None] < cols)
-        iu = block[bi]
-        s = np.clip(_decode(z, kept[iu], kept[iv]), _P_EPS, 1.0 - _P_EPS)
+        r0, r1 = block[0], block[-1] + 1
+        # np.sum(z[u] * z[v], axis=1) bit for bit: the same rows, reduced
+        # along the same contiguous axis
+        s = np.add.reduce(z[r0:r1, None, :] * z[None, r0:, :], axis=2)
+        upper = block[:, None] < cols[r0:]
+        s = s[upper]
+        with np.errstate(over="ignore"):
+            _sigmoid(s, out=s)
+        np.clip(s, _P_EPS, 1.0 - _P_EPS, out=s)
+        # the block's edges are a slice of the edge list, sorted by u
+        lo, hi = np.searchsorted(og.edge_u, [r0, r1])
+        edge = np.zeros(upper.shape, dtype=bool)
+        edge[og.edge_u[lo:hi] - r0, og.edge_v[lo:hi] - r0] = True
         # log s on an edge, log(1 - s) off one, as in train_predictor's loss
-        edge = _in_sorted(edge_keys, iu * k + iv)
-        total += float(np.sum(np.log(np.where(edge, s, 1.0 - s))))
+        total += float(np.sum(np.log(np.where(edge[upper], s, 1.0 - s))))
     return -total / n_pairs
 
 

@@ -516,7 +516,7 @@ def test_predict_adjacency_memory_is_far_below_dense():
 def test_reconstruction_bce_memory_is_bounded():
     # 3200 observed nodes give 5.1 million observed pairs: one float64 per
     # pair would be 41 MB, while the blocks and the codes take a few MiB
-    # (4.9 MiB measured; 9.3 MiB when each pair's two codes were gathered)
+    # (4.9 MiB measured)
     n = 4000
     g = generate_d_regular(n, 3, seed=1)
     s = sample_observed_subgraph(g, 0.8, seed=1)

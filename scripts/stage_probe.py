@@ -3,18 +3,17 @@
 
 Usage:
     python3 scripts/stage_probe.py 2000 8000 [--problem maxcut] \\
-        [--observe 0.8] [--predictor-epochs 20] [--solver-epochs 20] [--seed 0]
+        [--predictor-epochs 20] [--solver-epochs 20] [--seed 0]
 
-For each n, a 3-regular graph on n nodes runs the steps of
-``end_to_end_solve`` one public call at a time, each under its own timer:
-sampling the observation, ``train_predictor``, ``reconstruction_bce``,
-``predict_adjacency``, ``soft_adjacency_graph``, ``build_qubo``, the
-solver's ``train`` and ``project_and_repair`` with polish. The epoch
-budgets are fixed (patience equals the budget). Each n prints one JSON
-line: ``n``, ``stages_ms`` in run order, their sum ``total_ms``, and
-``peak_rss_mb``, the process's peak resident set so far, which covers
-every smaller n run before it. The script imports cograd from the ``src``
-of the checkout it sits in.
+For each n, a 3-regular graph on n nodes with 80 % of its nodes observed
+runs through perfbench's ``compose``, the benchmark's stage-by-stage copy
+of ``end_to_end_solve``, with a ``Tracer`` timing each public call. The
+epoch budgets are fixed (patience equals the budget). Each n prints one
+JSON line: ``n``, ``stages_ms`` keyed by span name in run order, their sum
+``total_ms``, and ``peak_rss_mb``, the process's peak resident set so far,
+which covers every smaller n run before it. The script imports cograd from
+the ``src`` and the benchmark from the ``perfbench`` of the checkout it
+sits in.
 """
 
 from __future__ import annotations
@@ -23,50 +22,34 @@ import argparse
 import json
 import resource
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-from cograd import (  # noqa: E402
-    ProblemKind,
-    TrainConfig,
-    build_qubo,
-    generate_d_regular,
-    predict_adjacency,
-    project_and_repair,
-    reconstruction_bce,
-    sample_observed_subgraph,
-    soft_adjacency_graph,
-    train,
-    train_predictor,
-)
+from cograd import PipelineConfig, ProblemKind, generate_d_regular  # noqa: E402
+from spans import Tracer  # noqa: E402
+from workloads import compose, fixed_budget  # noqa: E402
+
+OBSERVE = 0.8
 
 
-def probe(n: int, kind: ProblemKind, observe: float, predictor_epochs: int,
-          solver_epochs: int, seed: int) -> dict:
+def probe(n: int, kind: ProblemKind, predictor_epochs: int, solver_epochs: int,
+          seed: int) -> dict:
     """Stage times of one run on a 3-regular n-node graph; see the module
-    docstring for the stages and the record."""
+    docstring for the record."""
     g = generate_d_regular(n, 3, seed)
-    stages = {}
-
-    def timed(name, call, *args, **kwargs):
-        t0 = time.perf_counter()
-        out = call(*args, **kwargs)
-        stages[name] = round((time.perf_counter() - t0) * 1000.0, 2)
-        return out
-
-    sample = timed("sample", sample_observed_subgraph, g, observe, seed)
-    cfg = TrainConfig(max_epochs=predictor_epochs, patience=predictor_epochs, seed=seed)
-    params = timed("train_predictor", train_predictor, sample, n, cfg)
-    timed("reconstruction_bce", reconstruction_bce, params, sample)
-    soft = timed("predict_adjacency", predict_adjacency, params, sample)
-    g_pred = timed("soft_graph", soft_adjacency_graph, soft)
-    q = timed("build_qubo", build_qubo, kind, g_pred)
-    cfg = TrainConfig(max_epochs=solver_epochs, patience=solver_epochs, seed=seed)
-    p, _ = timed("solver_train", train, g_pred, q, cfg)
-    timed("repair", project_and_repair, kind, g, p, polish=True)
+    cfg = PipelineConfig(
+        kind=kind,
+        observe_fraction=OBSERVE,
+        predictor_cfg=fixed_budget(predictor_epochs, seed),
+        solver_cfg=fixed_budget(solver_epochs, seed),
+        seed=seed,
+    )
+    tr = Tracer()
+    compose(g, cfg, tr)
+    stages = {s["name"]: round((s["end"] - s["start"]) * 1000.0, 2) for s in tr.spans}
     return {
         "n": n,
         "stages_ms": stages,
@@ -79,14 +62,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("n", type=int, nargs="+", help="graph sizes, run in turn")
     ap.add_argument("--problem", default="maxcut", choices=[k.value for k in ProblemKind])
-    ap.add_argument("--observe", type=float, default=0.8, help="observed node fraction")
     ap.add_argument("--predictor-epochs", type=int, default=20)
     ap.add_argument("--solver-epochs", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     for n in args.n:
-        record = probe(n, ProblemKind(args.problem), args.observe,
-                       args.predictor_epochs, args.solver_epochs, args.seed)
+        record = probe(n, ProblemKind(args.problem), args.predictor_epochs,
+                       args.solver_epochs, args.seed)
         print(json.dumps(record), flush=True)
     return 0
 

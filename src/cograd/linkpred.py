@@ -177,9 +177,7 @@ def train_predictor(
     others[:, :m] = ends[::-1, :m]
     neg_obs = np.empty((2, n_neg), dtype=np.int64)
     y = np.concatenate([np.ones(m), np.zeros(n_neg)])
-    # the weight decay's rate per row: only unobserved rows feel it
-    decay = np.full((full_n, 1), _WEIGHT_DECAY)
-    decay[kept] = 0.0
+    unobs = np.setdiff1d(np.arange(full_n), kept)
 
     m_in = np.empty((full_n, d_in))
     z = np.empty((full_n, d_z))
@@ -192,8 +190,7 @@ def train_predictor(
     ds_ends = np.empty((2, n_pairs))
     ds = ds_ends[0]
     dz = np.empty((full_n, d_z))
-    # m_in is dead once dw is taken, so dz @ w.T, and after it the weight
-    # decay's terms, go into its buffer
+    # m_in is dead once dw is taken, so dz @ w.T goes into its buffer
     dm = m_in
     grad, (dembed, dw) = _carve(shapes)
     a_embed = bind(a_known, embed, m_in)
@@ -232,10 +229,7 @@ def train_predictor(
         np.matmul(m_in.T, dz, out=dw)
         np.matmul(dz, w.T, out=dm)
         a_dm()
-        # dembed[unobs] += wd * embed[unobs] bit for bit: a kept row adds a
-        # zero, and dembed holds no -0.0, as the product sums from +0.0
-        np.multiply(embed, decay, out=dm)
-        np.add(dembed, dm, out=dembed)
+        dembed[unobs] += _WEIGHT_DECAY * embed[unobs]
         return loss, grad
 
     descend(flat, evaluate, cfg)

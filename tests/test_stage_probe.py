@@ -13,14 +13,15 @@ stage_probe = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(stage_probe)
 
 STAGES = [
-    "sample",
-    "train_predictor",
-    "reconstruction_bce",
-    "predict_adjacency",
-    "soft_graph",
-    "build_qubo",
-    "solver_train",
-    "repair",
+    "graph.sample",
+    "linkpred.train",
+    "linkpred.predict",
+    "pipeline.soft_graph",
+    "qubo.build",
+    "linkpred.bce",
+    "gnn.train",
+    "gnn.repair",
+    "baselines.polish",
 ]
 
 

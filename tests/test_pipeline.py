@@ -213,7 +213,7 @@ def test_combined_loss_fields_consistent():
 def test_partial_observation_pipeline_memory_is_bounded():
     # n = 4000, 80 % observed, 5 predictor and 5 solver epochs: the
     # predictor's n x d buffers, the blocks of l_obj and the predicted
-    # graph trace 22.3 MiB
+    # graph trace 22.9 MiB
     g = generate_d_regular(4000, 3, seed=1)
     five = TrainConfig(seed=0, max_epochs=5, patience=5)
     cfg = _cfg(ProblemKind.MIS, observe_fraction=0.8, seed=1,

@@ -43,6 +43,8 @@ Cases:
   ``runtime_ms``, for dfl-partial's shape at seed 0 (``dfl-partial``) and
   for the weighted 6-node graph of the qubo cases, fully observed at
   lambda = 1e20 with the default schedules (``weighted/lambda=1e20``).
+  Full observation trains no predictor, so the latter pins the decision
+  with ``l_obj`` = 0, and lambda still never reaches the solver.
 """
 
 from __future__ import annotations

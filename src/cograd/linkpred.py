@@ -202,10 +202,9 @@ def train_predictor(
     def evaluate():
         # every index is in range: mode="clip" spares np.take the copy of
         # ``out`` that mode="raise" makes
-        if n_neg:
-            _sample_non_edges(rng, k, taken, neg_obs)
-            np.take(kept, neg_obs, out=ends[:, m:], mode="clip")
-            np.take(kept, neg_obs[::-1], out=others[:, m:], mode="clip")
+        _sample_non_edges(rng, k, taken, neg_obs)
+        np.take(kept, neg_obs, out=ends[:, m:], mode="clip")
+        np.take(kept, neg_obs[::-1], out=others[:, m:], mode="clip")
         a_embed()
         np.matmul(m_in, w, out=z)
         np.take(z, others, axis=0, out=z_ends, mode="clip")

@@ -20,7 +20,8 @@ _MULTILINEAR_LIMIT = 16
 
 @dataclass(frozen=True)
 class CoverageModel:
-    """Coverage probabilities theta[i, j]: item i covers target j."""
+    """Coverage probabilities theta[i, j]: item i covers target j. Raises
+    ValueError unless theta is 2-d with every entry in [0, 1] (NaN fails)."""
 
     theta: np.ndarray
 
@@ -28,7 +29,7 @@ class CoverageModel:
         t = np.asarray(self.theta, dtype=np.float64)
         if t.ndim != 2:
             raise ValueError(f"theta must be 2-d, got shape {t.shape}")
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if not np.all((t >= 0.0) & (t <= 1.0)):
             raise ValueError("theta entries must lie in [0, 1]")
         object.__setattr__(self, "theta", t)
 
@@ -45,13 +46,14 @@ def multilinear_value(
     Raises
     ------
     ValueError
-        If there are more than 16 items or f is not normalized.
+        If there are more than 16 items, an x_i outside [0, 1] (NaN
+        included) or f is not normalized.
     """
     xa = np.asarray(x, dtype=np.float64)
     n = len(xa)
     if n > _MULTILINEAR_LIMIT:
         raise ValueError(f"enumeration over {n} items exceeds {_MULTILINEAR_LIMIT}")
-    if np.any(xa < 0.0) or np.any(xa > 1.0):
+    if not np.all((xa >= 0.0) & (xa <= 1.0)):
         raise ValueError("inclusion probabilities must lie in [0, 1]")
     if f(()) != 0.0:
         raise ValueError("set function must be normalized: f(empty) = 0")
@@ -80,10 +82,11 @@ def coverage_multilinear_grads(
 
     The products that leave items out come from exclusive prefix and suffix
     products, with no division, so a factor of zero (x_l = theta_lj = 1)
-    is handled exactly.
+    is handled exactly. Raises ValueError for an x_i outside [0, 1] (NaN
+    included), then for an x whose length is not theta's item count.
     """
     xa = np.asarray(x, dtype=np.float64)
-    if np.any(xa < 0.0) or np.any(xa > 1.0):
+    if not np.all((xa >= 0.0) & (xa <= 1.0)):
         raise ValueError("inclusion probabilities must lie in [0, 1]")
     theta = model.theta
     n, t = theta.shape

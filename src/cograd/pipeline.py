@@ -56,7 +56,8 @@ class PipelineConfig:
     """End-to-end run settings.
 
     ``seed`` drives the observation sampling; the predictor and solver carry
-    their own seeds inside their configs. ``lam`` weighs the predictor's
+    their own seeds inside their configs. ``predictor_cfg`` is read only
+    when some node is unobserved. ``lam`` weighs the predictor's
     reconstruction loss in the reported ``combined_loss`` only; the solver
     never sees it, so it changes no decision. A numpy number is kept as its
     Python equal, ``x.item()``, so the result's JSON can hold it.
@@ -125,29 +126,25 @@ def soft_adjacency_graph(soft: SoftAdjacency) -> Graph:
 def end_to_end_solve(g_true: Graph, cfg: PipelineConfig) -> PipelineResult:
     """Observe, predict, optimize on the prediction, execute on the truth.
 
-    With full observation every pair is observed, so the predicted graph is
-    the true one, weights included, and at any lam the result is
-    bit-identical to the standalone solver under the same solver seed. The
-    predictor is then trained only to report its reconstruction loss
-    ``l_obj``; a graph with no edge leaves it nothing to learn, so none is
-    trained and ``l_obj`` is 0.0. An empty graph counts as fully observed at
-    any fraction. A partial observation with no observed edge is a
-    ValueError raised before any training. ``h_qubo`` is the solver's best
-    loss, which :func:`cograd.gnn.train` computes as ``q.value`` of the p
-    it returns.
+    The link predictor is trained, scored for its reconstruction loss
+    ``l_obj`` and asked for the predicted graph only when some node is
+    unobserved. With full observation there is nothing to predict: the
+    solver runs on the true graph, weights included, so the result is the
+    standalone solver's under the same solver seed, ``l_obj`` is 0.0 and
+    ``combined_loss`` is ``h_qubo``. An empty graph counts as fully
+    observed at any fraction. A partial observation with no observed edge
+    is a ValueError raised before any training. ``h_qubo`` is the solver's
+    best loss, which :func:`cograd.gnn.train` computes as ``q.value`` of
+    the p it returns.
     """
     t0 = time.perf_counter()
     kind = ProblemKind(cfg.kind)
     sample = sample_observed_subgraph(g_true, cfg.observe_fraction, cfg.seed)
-    partial = len(sample.kept_nodes) < g_true.n
-    l_obj = 0.0
-    if partial or g_true.m:
+    l_obj, g_pred = 0.0, g_true
+    if len(sample.kept_nodes) < g_true.n:
         params = train_predictor(sample, g_true.n, cfg.predictor_cfg)
         l_obj = reconstruction_bce(params, sample)
-    if partial:
         g_pred = soft_adjacency_graph(predict_adjacency(params, sample))
-    else:
-        g_pred = g_true
     q_pred = build_qubo(kind, g_pred, cfg.penalty)
     soft_assignment, trace = train(g_pred, q_pred, cfg.solver_cfg)
     x = project_and_repair(kind, g_true, soft_assignment, polish=cfg.polish)

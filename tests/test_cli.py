@@ -91,6 +91,9 @@ def test_dfl_json_schema(ring6, capsys):
     assert doc["observe_fraction"] == 1.0
     assert doc["feasible_true"] is True
     assert "combined_loss" in doc
+    # full observation trains no predictor: nothing is reconstructed
+    assert doc["l_obj"] == 0.0
+    assert doc["combined_loss"] == doc["h_qubo"]
 
 
 def test_dfl_full_observation_of_an_edgeless_graph(tmp_path, capsys):

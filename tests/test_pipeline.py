@@ -38,6 +38,9 @@ from cograd.qubo import ProblemKind, build_qubo, eval_hamiltonian
 
 _FAST_PRED = TrainConfig(seed=1, max_epochs=60, patience=60)
 _FAST_SOLVE = TrainConfig(seed=3, max_epochs=600, patience=600)
+# weights above 1, below the soft-edge cutoff and 0
+_WEIGHTED = Graph(6, [(0, 1, 2.5), (1, 2, 5e-4), (2, 3, 0.0), (3, 4, 7.0),
+                      (0, 4, 0.3), (1, 4, 1.0)])
 
 
 def _cfg(kind, **kw):
@@ -82,6 +85,8 @@ def test_coverage_model_validation():
         CoverageModel(np.array([[0.5, 1.5]]))
     with pytest.raises(ValueError, match="0, 1"):
         CoverageModel(np.array([[-0.1, 0.5]]))
+    with pytest.raises(ValueError, match="0, 1"):
+        CoverageModel(np.array([[np.nan, 0.5]]))
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0, 1e20])
@@ -113,15 +118,52 @@ def test_full_observation_of_an_edgeless_graph_is_the_standalone_solver(kind, n)
 
 @pytest.mark.parametrize("kind", list(ProblemKind))
 def test_full_observation_keeps_weights_a_probability_cannot_hold(kind):
-    # above 1, below the soft-edge cutoff and 0: the truth is the prediction
-    g = Graph(6, [(0, 1, 2.5), (1, 2, 5e-4), (2, 3, 0.0), (3, 4, 7.0),
-                  (0, 4, 0.3), (1, 4, 1.0)])
+    # the truth is the prediction, whatever its weights
+    g = _WEIGHTED
     res = end_to_end_solve(g, _cfg(kind, lam=0.0, seed=1))
     soft, _ = train(g, build_qubo(kind, g), _FAST_SOLVE)
     alone = project_and_repair(kind, g, soft, polish=True)
     assert np.array_equal(res.assignment, alone)
     assert res.objective_predicted == res.objective_true
     assert res.h_qubo == eval_hamiltonian(build_qubo(kind, g), soft.p)
+
+
+@pytest.mark.parametrize("graph", ["3-regular", "weighted"])
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_full_observation_trains_no_predictor_and_scores_no_pairs(
+    monkeypatch, kind, graph
+):
+    def no_predictor(*args, **kwargs):
+        raise AssertionError("the link predictor ran at full observation")
+
+    for name in ("train_predictor", "reconstruction_bce", "predict_adjacency"):
+        monkeypatch.setattr(f"cograd.pipeline.{name}", no_predictor)
+    g = generate_d_regular(20, 3, seed=4) if graph == "3-regular" else _WEIGHTED
+    res = end_to_end_solve(g, _cfg(kind, lam=1e20))
+    soft, _ = train(g, build_qubo(kind, g), _FAST_SOLVE)
+    alone = project_and_repair(kind, g, soft, polish=True)
+    assert np.array_equal(res.assignment, alone)
+    assert res.l_obj == 0.0 and res.combined_loss == res.h_qubo
+
+
+def test_partial_observation_runs_each_predictor_stage_once(monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(pipeline, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("train_predictor", "reconstruction_bce", "predict_adjacency"):
+        monkeypatch.setattr(f"cograd.pipeline.{name}", counted(name))
+    g = generate_erdos_renyi(12, 0.3, seed=9)
+    res = end_to_end_solve(g, _cfg(ProblemKind.MIS, observe_fraction=0.7))
+    assert calls == ["train_predictor", "reconstruction_bce", "predict_adjacency"]
+    assert res.l_obj > 0.0
 
 
 def test_empty_graph_counts_as_fully_observed_at_any_fraction():
@@ -278,6 +320,8 @@ def test_multilinear_validation():
         multilinear_value(f, np.full(17, 0.5))
     with pytest.raises(ValueError, match="0, 1"):
         multilinear_value(f, [0.5, 1.5])
+    with pytest.raises(ValueError, match="0, 1"):
+        multilinear_value(f, [np.nan, 0.5])
     with pytest.raises(ValueError, match="normalized"):
         multilinear_value(lambda s: 1.0, [0.5])
 
@@ -374,6 +418,12 @@ def test_pipeline_re_exports_the_multilinear_utilities():
     for name in multilinear.__all__:
         assert getattr(pipeline, name) is getattr(multilinear, name)
         assert getattr(cograd, name) is getattr(multilinear, name)
+
+
+@pytest.mark.parametrize("x", [[1.5], [-0.1], [np.nan]], ids=["above", "below", "nan"])
+def test_coverage_grads_reject_x_outside_the_unit_interval(x):
+    with pytest.raises(ValueError, match="0, 1"):
+        coverage_multilinear_grads(x, CoverageModel(np.array([[0.5]])))
 
 
 def test_coverage_grads_shape_mismatch():

@@ -146,26 +146,6 @@ def test_full_observation_trains_no_predictor_and_scores_no_pairs(
     assert res.l_obj == 0.0 and res.combined_loss == res.h_qubo
 
 
-def test_partial_observation_runs_each_predictor_stage_once(monkeypatch):
-    calls = []
-
-    def counted(name):
-        real = getattr(pipeline, name)
-
-        def call(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        return call
-
-    for name in ("train_predictor", "reconstruction_bce", "predict_adjacency"):
-        monkeypatch.setattr(f"cograd.pipeline.{name}", counted(name))
-    g = generate_erdos_renyi(12, 0.3, seed=9)
-    res = end_to_end_solve(g, _cfg(ProblemKind.MIS, observe_fraction=0.7))
-    assert calls == ["train_predictor", "reconstruction_bce", "predict_adjacency"]
-    assert res.l_obj > 0.0
-
-
 def test_empty_graph_counts_as_fully_observed_at_any_fraction():
     res = end_to_end_solve(Graph(0), _cfg(ProblemKind.MIS, observe_fraction=0.3))
     assert res.assignment.shape == (0,) and res.objective_true == 0.0

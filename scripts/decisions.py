@@ -24,6 +24,9 @@ Cases:
   repair and polish, all three problems;
 * suite-small's four graphs at seed 0, epochs capped at 1000 with default
   patience: ``gnn-solver`` and ``dga+local-search``, all three problems;
+* ``bench/suite-small/<problem>``: the same graphs, methods and epoch cap
+  run through ``run_suite``, as ``json.dumps`` of its rows without
+  ``runtime_ms``;
 * dfl-partial's shape: 3-regular n = 800, 80 % observed, 800 predictor and
   150 solver epochs, seed 0, all three problems, at the default lambda and
   again at lambda = 1e20 (``.../lambda=1e20``). Lambda must not reach the
@@ -64,9 +67,11 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from cograd import (  # noqa: E402
     Graph,
+    InstanceSpec,
     PipelineConfig,
     PipelineResult,
     ProblemKind,
+    SuiteSpec,
     TrainConfig,
     build_qubo,
     dga,
@@ -78,6 +83,7 @@ from cograd import (  # noqa: E402
     one_flip_local_search,
     project_and_repair,
     reconstruction_bce,
+    run_suite,
     sample_observed_subgraph,
     train,
     train_predictor,
@@ -168,15 +174,32 @@ def predictor_bytes(g: Graph, seed: int) -> bytes:
     return params.embed.tobytes() + params.w.tobytes() + repr(l_obj).encode()
 
 
-def suite_small_graphs(seed: int) -> Iterator[tuple[str, Graph]]:
-    """suite-small's instances, drawn as its set-up draws them."""
+def suite_small_specs(seed: int) -> tuple[InstanceSpec, ...]:
+    """suite-small's instances as bench generators, with the graph seeds its
+    set-up draws."""
     rng = np.random.default_rng(seed)
+    specs = []
     for name, n in (("reg-100", 100), ("er-150", 150), ("reg-200", 200), ("er-250", 250)):
         gseed = int(rng.integers(2**31))
         if name.startswith("reg"):
-            yield name, generate_d_regular(n, 3, gseed)
+            specs.append(InstanceSpec(name, generator="d-regular", n=n, d=3, seed=gseed))
         else:
-            yield name, generate_erdos_renyi(n, 3.0 / (n - 1), gseed)
+            specs.append(InstanceSpec(name, generator="erdos-renyi", n=n,
+                                      p=3.0 / (n - 1), seed=gseed))
+    return tuple(specs)
+
+
+def suite_small_graphs(seed: int) -> Iterator[tuple[str, Graph]]:
+    """suite-small's instances, drawn as its set-up draws them."""
+    for spec in suite_small_specs(seed):
+        yield spec.name, spec.load()
+
+
+def bench_rows(kind: ProblemKind, instances: tuple[InstanceSpec, ...]) -> bytes:
+    spec = SuiteSpec(kind, instances, ("gnn-solver", "dga+local-search"), epochs=1000)
+    rows = [{k: v for k, v in row.items() if k != "runtime_ms"}
+            for row in run_suite(spec).rows]
+    return json.dumps(rows).encode()
 
 
 def cases() -> Iterator[Case]:
@@ -206,6 +229,8 @@ def cases() -> Iterator[Case]:
                    partial(gcn, kind, g, TrainConfig(max_epochs=1000, seed=0)))
             yield (f"suite-small/{name}/dga+local-search/{kind.value}",
                    partial(dga_local_search, kind, g))
+    for kind in ProblemKind:
+        yield f"bench/suite-small/{kind.value}", partial(bench_rows, kind, suite_small_specs(0))
     g = generate_d_regular(800, 3, 0)
     for kind in ProblemKind:
         yield f"dfl-partial/seed=0/{kind.value}", partial(dfl, g, kind, 0)

@@ -10,7 +10,7 @@ import hashlib
 import json
 import time
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -18,10 +18,9 @@ import numpy as np
 from ._version import __version__
 from .baselines import dga, one_flip_local_search
 from .gnn import TrainConfig, _check_seed, _count, _python_numbers, _real
-from .gnn import project_and_repair, train
 from .graph import Graph, generate_d_regular, generate_erdos_renyi, load_gset
 from .pipeline import PipelineConfig, end_to_end_solve
-from .qubo import ProblemKind, brute_force_optimum, build_qubo, is_feasible, objective
+from .qubo import ProblemKind, brute_force_optimum, is_feasible, objective
 from .reference import best_known
 
 __all__ = [
@@ -157,19 +156,15 @@ class BenchReport:
     metadata: dict
 
 
-def _solver_cfg(spec: SuiteSpec, seed: int) -> TrainConfig:
-    schedule = {"max_epochs": spec.epochs, "learning_rate": spec.lr}
-    schedule = {k: v for k, v in schedule.items() if v is not None}
-    return TrainConfig(seed=seed, d0=spec.d0, d1=spec.d1, **schedule)
-
-
 def _pipeline_cfg(spec: SuiteSpec, seed: int) -> PipelineConfig:
     # lambda keeps its default: it only shifts losses, which no row reports
+    schedule = {"max_epochs": spec.epochs, "learning_rate": spec.lr}
+    schedule = {k: v for k, v in schedule.items() if v is not None}
     return PipelineConfig(
         kind=spec.problem,
         observe_fraction=spec.observe_fraction,
         predictor_cfg=TrainConfig(seed=seed),
-        solver_cfg=_solver_cfg(spec, seed),
+        solver_cfg=TrainConfig(seed=seed, d0=spec.d0, d1=spec.d1, **schedule),
         seed=seed,
         penalty=spec.penalty,
         polish=spec.polish,
@@ -179,7 +174,11 @@ def _pipeline_cfg(spec: SuiteSpec, seed: int) -> PipelineConfig:
 def _run_method(
     spec: SuiteSpec, g: Graph, method: str, seed: int
 ) -> tuple[float, bool, np.ndarray]:
-    """Objective, feasibility and assignment of one method on one graph."""
+    """Objective, feasibility and assignment of one method on one graph.
+
+    A ``gnn-solver`` row is the ``dfl-pipeline`` row at full observation:
+    :func:`cograd.pipeline.end_to_end_solve` then solves on the true graph,
+    which is the standalone GCN solver."""
     kind = spec.problem
     if method == "oracle":
         x, val = brute_force_optimum(kind, g)
@@ -188,12 +187,11 @@ def _run_method(
         x = dga(kind, g)
     elif method == "dga+local-search":
         x = one_flip_local_search(kind, g, dga(kind, g))
-    elif method == "gnn-solver":
-        q = build_qubo(kind, g, spec.penalty)
-        soft, _ = train(g, q, _solver_cfg(spec, seed))
-        x = project_and_repair(kind, g, soft, polish=spec.polish)
-    elif method == "dfl-pipeline":
-        res = end_to_end_solve(g, _pipeline_cfg(spec, seed))
+    elif method in ("gnn-solver", "dfl-pipeline"):
+        cfg = _pipeline_cfg(spec, seed)
+        if method == "gnn-solver":
+            cfg = replace(cfg, observe_fraction=1.0)
+        res = end_to_end_solve(g, cfg)
         return res.objective_true, res.feasible_true, res.assignment
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -722,7 +722,9 @@ def project_and_repair(
     * MaxCut: nothing to repair.
 
     With ``polish`` the result is refined by 1-flip first-improvement local
-    search. The output is always feasible.
+    search. The output is always feasible. The polish changes no MIS or MVC
+    decision: the repair's last scan (MIS add, MVC drop) leaves no eligible
+    node, and a flip makes none eligible.
 
     The decisions are those of the sequential scans above, bit for bit, at
     O(n + m) work per pass. Only edges that violate at the threshold are

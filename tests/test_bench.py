@@ -231,6 +231,43 @@ def test_solver_methods_feasible_rows():
         assert row["objective"] >= 1.0
 
 
+def test_a_gnn_solver_row_is_one_pipeline_call_at_full_observation(monkeypatch):
+    calls = []
+
+    def spy(g, cfg):
+        res = end_to_end_solve(g, cfg)
+        calls.append((cfg, res))
+        return res
+
+    monkeypatch.setattr(cograd_bench, "end_to_end_solve", spy)
+    spec = SuiteSpec(
+        problem=ProblemKind.MVC,
+        instances=(InstanceSpec("er", generator="erdos-renyi", n=12, p=0.3, seed=2),),
+        methods=("gnn-solver", "dfl-pipeline"),
+        seeds=(0, 1),
+        penalty=3.0,
+        polish=False,
+        observe_fraction=0.75,
+        epochs=30,
+        lr=0.02,
+        d0=8,
+        d1=4,
+    )
+    rows = run_suite(spec).rows
+    assert len(calls) == len(rows) == 4
+    for row, (cfg, res) in zip(rows, calls):
+        seed = row["seed"]
+        frac = 1.0 if row["method"] == "gnn-solver" else 0.75
+        assert cfg.observe_fraction == frac and cfg.seed == seed
+        assert cfg.solver_cfg == TrainConfig(
+            max_epochs=30, learning_rate=0.02, seed=seed, d0=8, d1=4
+        )
+        assert (cfg.kind, cfg.penalty, cfg.polish) == (ProblemKind.MVC, 3.0, False)
+        assert row["objective"] == res.objective_true
+        assert row["feasible"] == res.feasible_true
+    assert [row["method"] for row in rows] == ["dfl-pipeline"] * 2 + ["gnn-solver"] * 2
+
+
 def test_rows_run_in_order_in_the_calling_thread(tmp_path, monkeypatch):
     spec = SuiteSpec(
         problem=ProblemKind.MIS,

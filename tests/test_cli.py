@@ -264,10 +264,21 @@ def test_non_finite_setting_is_data_error_before_training(
         raise AssertionError("training started")
 
     monkeypatch.setattr("cograd.pipeline.train_predictor", no_training)
-    monkeypatch.setattr("cograd.bench.train", no_training)
+    monkeypatch.setattr("cograd.pipeline.train", no_training)
     assert main([command, "--input", ring6, *flags]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "finite" in err
+
+
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_maxcut_ignores_a_non_finite_penalty(ring6, capsys, token):
+    # MaxCut has no constraints, so its penalty is never read
+    rows = []
+    for flags in ([], ["--penalty", token]):
+        argv = ["solve", "--problem", "maxcut", "--input", ring6, "--epochs", "50"]
+        assert main([*argv, *flags, "--format", "json"]) == 0
+        rows.append(dict(json.loads(capsys.readouterr().out), runtime_ms=0.0))
+    assert rows[0] == rows[1]
 
 
 def test_malformed_config_is_usage_error(tmp_path):

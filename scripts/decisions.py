@@ -38,6 +38,9 @@ Cases:
 * ``predictor/seed=0``: the link predictor trained on dfl-partial's shape
   (800 epochs), as the bytes of its ``embed`` and ``w`` followed by
   ``repr`` of its reconstruction loss;
+* ``predictor/dense/seed=0``: the same for an Erdos-Renyi graph (n = 100,
+  p = 0.8), 80 % observed, at 400 epochs. Most negative draws hit an
+  observed edge, so each epoch takes several rounds of draws;
 * ``trace/reg-100/<problem>/<schedule>``: the solver's descent on reg-100
   at 200 fixed epochs (``epochs=200``) and at the default schedule
   (``default``), as the bytes of ``export_loss_trace`` of its trace, then
@@ -167,9 +170,9 @@ def qubo_bytes(kind: ProblemKind, g: Graph) -> bytes:
         a.tobytes() for a in (csr.indptr, csr.indices, csr.data))
 
 
-def predictor_bytes(g: Graph, seed: int) -> bytes:
+def predictor_bytes(g: Graph, seed: int, epochs: int = 800) -> bytes:
     sample = sample_observed_subgraph(g, 0.8, seed)
-    params = train_predictor(sample, g.n, fixed_budget(800, seed))
+    params = train_predictor(sample, g.n, fixed_budget(epochs, seed))
     l_obj = reconstruction_bce(params, sample)
     return params.embed.tobytes() + params.w.tobytes() + repr(l_obj).encode()
 
@@ -244,6 +247,8 @@ def cases() -> Iterator[Case]:
         for kind in ProblemKind:
             yield f"qubo/{name}/{kind.value}", partial(qubo_bytes, kind, q_graph)
     yield "predictor/seed=0", partial(predictor_bytes, g, 0)
+    dense = generate_erdos_renyi(100, 0.8, 0)
+    yield "predictor/dense/seed=0", partial(predictor_bytes, dense, 0, 400)
     reg100 = makers["reg-100"]()
     for kind in ProblemKind:
         for schedule, cfg in (("epochs=200", fixed_budget(200, 0)), ("default", TrainConfig())):

@@ -490,6 +490,9 @@ class Adam:
 
     The moments and two scratch arrays per parameter are allocated on the
     first step and reused, so a step allocates nothing of parameter size.
+    Once the first bias correction 1 - 0.9^t rounds to 1 in a parameter's
+    dtype (from t = 165 in float32 and t = 356 in float64), m / c1 is m bit
+    for bit, and the step skips that division.
     """
 
     def __init__(self, learning_rate: float):
@@ -514,8 +517,11 @@ class Adam:
             v *= _BETA2
             np.multiply(g, 1.0 - _BETA2, out=num)
             v += np.multiply(num, g, out=num)
-            np.divide(m, c1, out=num)
-            num *= self.learning_rate
+            if a.dtype.type(c1) == 1.0:
+                np.multiply(m, self.learning_rate, out=num)
+            else:
+                np.divide(m, c1, out=num)
+                num *= self.learning_rate
             np.divide(v, c2, out=den)
             np.sqrt(den, out=den)
             den += _ADAM_EPS

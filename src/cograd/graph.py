@@ -443,6 +443,12 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     return Graph.from_arrays(n, np.concatenate(us), np.concatenate(vs))
 
 
+def _kept_count(n: int, fraction: float) -> int:
+    """The nodes an observation of ``fraction`` of n nodes keeps:
+    round(fraction * n), halves rounded up."""
+    return int(np.floor(fraction * n + 0.5))
+
+
 def sample_observed_subgraph(g: Graph, fraction: float, seed: int) -> ObservedSample:
     """Keep round(fraction * n) uniformly sampled nodes and induce their edges.
 
@@ -460,7 +466,7 @@ def sample_observed_subgraph(g: Graph, fraction: float, seed: int) -> ObservedSa
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
-    k = int(np.floor(fraction * g.n + 0.5))
+    k = _kept_count(g.n, fraction)
     if k == 0 and g.n > 0:
         raise ValueError(f"fraction {fraction} keeps zero of {g.n} nodes")
     rng = np.random.default_rng(seed)

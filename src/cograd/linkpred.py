@@ -4,7 +4,9 @@ A one-layer graph convolution encodes every node into a low-dimensional
 embedding; an inner-product decoder scores pairs. Only pairs between
 observed nodes carry training signal (observed edges as positives, sampled
 observed non-edges as negatives); embeddings of unobserved nodes are free
-parameters held near zero by weight decay.
+parameters held near zero by weight decay. The negatives come from one
+stream of the descent's generator, drawn in bulk, and a key is searched
+among the taken pairs only when a prefilter table cannot rule it out.
 
 The prediction is a list of weighted pairs, never an n x n matrix.
 Observed pairs keep their ground truth, since observed evidence is certain,
@@ -51,6 +53,10 @@ _BLOCK = 1 << 14
 # rows a block would be one row, and a product of one row against z.T
 # takes longer per row than one of a few dozen rows
 _TOP_ROWS = 32
+# values the negative sampler draws from its generator at once, at least
+_STREAM = 1 << 13
+# prefilter buckets per taken key of the negative sampler
+_BUCKETS = 8
 
 
 @dataclass
@@ -142,6 +148,16 @@ def train_predictor(
     into each end's row in pair order, from zeros: ``np.add.at``'s sums,
     bit for bit.
 
+    The negatives are drawn in rounds, each redrawing the pairs still
+    missing, as per-round ``rng.integers(0, k, size=(2, c))`` calls would
+    draw them. They are taken from one bulk stream of those integers
+    (:class:`_NonEdgeSampler`), which is exact because numpy's bounded
+    integers of one range and dtype read one continuous stream of the bit
+    generator: joined per-round calls equal one bulk draw.
+    ``test_train_predictor_bit_identical_to_reference_loop``, which draws
+    per round, pins that property. A prefilter table of buckets rules out
+    most candidates before any search of the taken keys.
+
     Raises
     ------
     ValueError
@@ -162,9 +178,11 @@ def train_predictor(
 
     kept = sample.kept_nodes
     m, k = og.m, og.n
-    taken = _taken_keys(og)
     n_neg = m if k * (k - 1) // 2 - m > 0 else 0
     n_pairs = m + n_neg
+    # the sampler's long-lived arrays come before the epoch buffers; rng
+    # ends ahead of per-round draws, and nothing reads it after the descent
+    sample_non_edges = _NonEdgeSampler(rng, og, n_neg)
     # ends[0] and ends[1] hold the scored pairs' first and second ends, the
     # observed edges before the negatives; ends.ravel() is the scatter's
     # row order. others holds each end's other end, ends[::-1] made
@@ -175,9 +193,10 @@ def train_predictor(
     ends[1, :m] = kept[og.edge_v]
     others = np.empty((2, n_pairs), dtype=np.int64)
     others[:, :m] = ends[::-1, :m]
-    neg_obs = np.empty((2, n_neg), dtype=np.int64)
     y = np.concatenate([np.ones(m), np.zeros(n_neg)])
-    unobs = np.setdiff1d(np.arange(full_n), kept)
+    # weight decay per row: on unobserved rows only
+    decay = np.full((full_n, 1), _WEIGHT_DECAY)
+    decay[kept] = 0.0
 
     m_in = np.empty((full_n, d_in))
     z = np.empty((full_n, d_z))
@@ -190,7 +209,8 @@ def train_predictor(
     ds_ends = np.empty((2, n_pairs))
     ds = ds_ends[0]
     dz = np.empty((full_n, d_z))
-    # m_in is dead once dw is taken, so dz @ w.T goes into its buffer
+    # m_in is dead once dw is taken, so dz @ w.T goes into its buffer, and
+    # dm once dembed is taken, so the decay term goes into it
     dm = m_in
     grad, (dembed, dw) = _carve(shapes)
     a_embed = bind(a_known, embed, m_in)
@@ -202,12 +222,12 @@ def train_predictor(
     def evaluate():
         # every index is in range: mode="clip" spares np.take the copy of
         # ``out`` that mode="raise" makes
-        _sample_non_edges(rng, k, taken, neg_obs)
-        np.take(kept, neg_obs, out=ends[:, m:], mode="clip")
-        np.take(kept, neg_obs[::-1], out=others[:, m:], mode="clip")
+        neg_obs = sample_non_edges()
+        kept.take(neg_obs, out=ends[:, m:], mode="clip")
+        kept.take(neg_obs[::-1], out=others[:, m:], mode="clip")
         a_embed()
         np.matmul(m_in, w, out=z)
-        np.take(z, others, axis=0, out=z_ends, mode="clip")
+        z.take(others, axis=0, out=z_ends, mode="clip")
         np.multiply(z_u, z_v, out=prod)
         # np.sum and np.mean bit for bit, without their Python wrappers
         np.add.reduce(prod, axis=1, out=s)
@@ -228,7 +248,11 @@ def train_predictor(
         np.matmul(m_in.T, dz, out=dw)
         np.matmul(dz, w.T, out=dm)
         a_dm()
-        dembed[unobs] += _WEIGHT_DECAY * embed[unobs]
+        # dembed[unobs] += _WEIGHT_DECAY * embed[unobs] bit for bit: a_dm
+        # sums from +0.0, so dembed holds no -0.0 and the observed rows'
+        # signed zeros add nothing
+        np.multiply(embed, decay, out=dm)
+        np.add(dembed, dm, out=dembed)
         return loss, grad
 
     descend(flat, evaluate, cfg)
@@ -236,7 +260,7 @@ def train_predictor(
 
 
 def _taken_keys(og: Graph) -> np.ndarray:
-    """The ascending keys u * k + v (u <= v) that :func:`_sample_non_edges`
+    """The ascending keys u * k + v (u <= v) that :class:`_NonEdgeSampler`
     rejects on the k-node observed graph ``og``: its edges and the k
     self-pairs, followed by the sentinel k * k, which exceeds every pair's
     key so that a search never runs off the end."""
@@ -248,24 +272,85 @@ def _taken_keys(og: Graph) -> np.ndarray:
     return keys
 
 
-def _sample_non_edges(rng, k: int, taken: np.ndarray, out: np.ndarray) -> None:
-    """Fill the (2, count) array ``out`` with uniform observed-index pairs
-    (u < v) that are not observed edges; ``taken`` is :func:`_taken_keys`
-    of the observed graph. Each round draws the pairs still missing and
-    keeps those whose key is not in ``taken``."""
-    out_u, out_v = out
-    count = out.shape[1]
-    got = 0
-    while got < count:
-        cand = rng.integers(0, k, size=(2, count - got))
-        u = np.minimum(cand[0], cand[1])
-        v = np.maximum(cand[0], cand[1])
-        keys = u * k + v
-        ok = taken[np.searchsorted(taken, keys)] != keys
-        take = int(np.sum(ok))
-        out_u[got : got + take] = u[ok]
-        out_v[got : got + take] = v[ok]
-        got += take
+class _NonEdgeSampler:
+    """Uniform observed non-edges, ``count`` at a time, from one stream.
+
+    Each call refills and returns ``pairs``, a (2, count) array of
+    observed-index pairs (u < v) that are not observed edges. Each round
+    takes the next 2c values of the stream as a (2, c) array of candidates
+    for the c pairs still missing, orders each candidate and keeps those
+    whose key u * k + v is not in :func:`_taken_keys`.
+
+    The stream is ``rng.integers(0, k)`` drawn ``max(_STREAM, 2 * count)``
+    values at a time. numpy's bounded integers of one range and dtype read
+    one continuous stream of the bit generator, so the pairs are those that
+    per-round calls ``rng.integers(0, k, size=(2, c))`` give, bit for bit;
+    ``used`` counts the values taken. ``rng`` ends ahead of those calls.
+
+    A prefilter spares most keys a search: its table holds _BUCKETS
+    buckets per taken key, a key's bucket is the key mod the table's odd
+    size, and every taken key occupies its own bucket. So a key in an empty
+    bucket is no taken key; it is searched as -1, which is no key either
+    and takes a few steps at most. Only keys in occupied buckets are
+    searched for in the sorted taken keys.
+
+    The arrays are allocated once, and a round writes into them; its only
+    new array is the search's positions. Temporaries of many small sizes
+    would stay in numpy's cache of small blocks, spread over the heap, and
+    keep the descent's freed buffers from being returned to the system
+    (1.2 MB more RSS at dfl-partial's shape, with glibc's malloc).
+    """
+
+    def __init__(self, rng: np.random.Generator, og: Graph, count: int):
+        self.rng, self.k = rng, og.n
+        self.taken = _taken_keys(og)
+        self.size = _BUCKETS * len(self.taken) + 1
+        self.occupied = np.zeros(self.size, dtype=bool)
+        self.occupied[self.taken % self.size] = True
+        self.chunk = max(_STREAM, 2 * count)
+        self.stream = rng.integers(0, self.k, size=self.chunk if count else 0)
+        self.pos = self.used = 0
+        self.pairs = np.empty((2, count), dtype=np.int64)
+        # a round of c pairs works in the first c columns
+        self.scratch = np.empty((4, count), dtype=np.int64)
+        self.flags = np.empty(count, dtype=bool)
+
+    def _next(self, need: int) -> np.ndarray:
+        """The stream's next ``need`` values, at most one chunk."""
+        start, stop = self.pos, self.pos + need
+        self.used += need
+        if stop <= len(self.stream):
+            self.pos = stop
+            return self.stream[start:stop]
+        tail = self.stream[start:]
+        self.stream = self.rng.integers(0, self.k, size=self.chunk)
+        self.pos = need - len(tail)
+        return np.concatenate([tail, self.stream[: self.pos]])
+
+    def __call__(self) -> np.ndarray:
+        out_u, out_v = self.pairs
+        count = self.pairs.shape[1]
+        got = 0
+        while got < count:
+            c = count - got
+            cand = self._next(2 * c).reshape(2, c)
+            u, v, keys, probe = self.scratch[:, :c]
+            ok = self.flags[:c]
+            np.minimum(cand[0], cand[1], out=u)
+            np.maximum(cand[0], cand[1], out=v)
+            np.multiply(u, self.k, out=keys)
+            keys += v
+            np.remainder(keys, self.size, out=probe)
+            self.occupied.take(probe, out=ok, mode="clip")
+            probe.fill(-1)
+            np.copyto(probe, keys, where=ok)
+            at = self.taken.searchsorted(probe)
+            np.not_equal(self.taken.take(at, out=keys, mode="clip"), probe, out=ok)
+            take = np.count_nonzero(ok)
+            u.compress(ok, out=out_u[got : got + take])
+            v.compress(ok, out=out_v[got : got + take])
+            got += take
+        return self.pairs
 
 
 def _partner_budget(m_obs: int, k_obs: int, n: int) -> int:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gnn import TrainConfig, _check_seed, _python_numbers, _real
 from .gnn import project_and_repair, train
-from .graph import Graph, sample_observed_subgraph
+from .graph import Graph, _kept_count, sample_observed_subgraph
 from .linkpred import (
     _SOFT_EDGE_CUTOFF,
     SoftAdjacency,
@@ -126,22 +126,23 @@ def soft_adjacency_graph(soft: SoftAdjacency) -> Graph:
 def end_to_end_solve(g_true: Graph, cfg: PipelineConfig) -> PipelineResult:
     """Observe, predict, optimize on the prediction, execute on the truth.
 
-    The link predictor is trained, scored for its reconstruction loss
-    ``l_obj`` and asked for the predicted graph only when some node is
-    unobserved. With full observation there is nothing to predict: the
-    solver runs on the true graph, weights included, so the result is the
-    standalone solver's under the same solver seed, ``l_obj`` is 0.0 and
-    ``combined_loss`` is ``h_qubo``. An empty graph counts as fully
-    observed at any fraction. A partial observation with no observed edge
-    is a ValueError raised before any training. ``h_qubo`` is the solver's
-    best loss, which :func:`cograd.gnn.train` computes as ``q.value`` of
-    the p it returns.
+    The nodes are sampled, and the link predictor is trained, scored for
+    its reconstruction loss ``l_obj`` and asked for the predicted graph,
+    only when the fraction leaves some node unobserved. With full
+    observation there is nothing to predict: the solver runs on the true
+    graph, weights included, so the result is the standalone solver's under
+    the same solver seed, ``l_obj`` is 0.0, ``combined_loss`` is ``h_qubo``
+    and ``objective_predicted`` is ``objective_true``. An empty graph
+    counts as fully observed at any fraction. A partial observation with
+    no observed edge is a ValueError raised before any training.
+    ``h_qubo`` is the solver's best loss, which :func:`cograd.gnn.train`
+    computes as ``q.value`` of the p it returns.
     """
     t0 = time.perf_counter()
     kind = ProblemKind(cfg.kind)
-    sample = sample_observed_subgraph(g_true, cfg.observe_fraction, cfg.seed)
     l_obj, g_pred = 0.0, g_true
-    if len(sample.kept_nodes) < g_true.n:
+    if _kept_count(g_true.n, cfg.observe_fraction) < g_true.n:
+        sample = sample_observed_subgraph(g_true, cfg.observe_fraction, cfg.seed)
         params = train_predictor(sample, g_true.n, cfg.predictor_cfg)
         l_obj = reconstruction_bce(params, sample)
         g_pred = soft_adjacency_graph(predict_adjacency(params, sample))
@@ -149,6 +150,7 @@ def end_to_end_solve(g_true: Graph, cfg: PipelineConfig) -> PipelineResult:
     soft_assignment, trace = train(g_pred, q_pred, cfg.solver_cfg)
     x = project_and_repair(kind, g_true, soft_assignment, polish=cfg.polish)
     h_qubo = trace[-1][2]  # the best loss: H of the p train returns
+    objective_true = objective(kind, g_true, x)
     return PipelineResult(
         assignment=x,
         problem=kind.value,
@@ -157,8 +159,10 @@ def end_to_end_solve(g_true: Graph, cfg: PipelineConfig) -> PipelineResult:
         observe_fraction=cfg.observe_fraction,
         lam=cfg.lam,
         seed=cfg.seed,
-        objective_true=objective(kind, g_true, x),
-        objective_predicted=objective(kind, g_pred, x),
+        objective_true=objective_true,
+        objective_predicted=(
+            objective_true if g_pred is g_true else objective(kind, g_pred, x)
+        ),
         feasible_true=is_feasible(kind, g_true, x),
         runtime_ms=(time.perf_counter() - t0) * 1000.0,
         h_qubo=h_qubo,

@@ -204,20 +204,28 @@ def _textbook_adam_step(arrays, grads, m, v, t, lr):
 
 
 def test_adam_steps_match_textbook_bit_for_bit():
-    rng = np.random.default_rng(11)
-    start = [rng.normal(size=(40, 6)), rng.normal(size=(6, 1))]
-    grads = [[rng.normal(scale=10.0**k, size=x.shape) for x in start]
-             for k in (-3, 0, 2, -1, 1, 0)]
-    ours = [x.copy() for x in start]
-    opt = Adam(0.03)
-    for g in grads:
-        opt.step(ours, g)
-    ref = [x.copy() for x in start]
-    m, v = [np.zeros_like(x) for x in ref], [np.zeros_like(x) for x in ref]
-    for t, g in enumerate(grads, start=1):
-        _textbook_adam_step(ref, g, m, v, t, 0.03)
-    for x, y in zip(ours, ref):
-        assert np.array_equal(x, y)
+    # 420 steps: the first bias correction rounds to 1 from t = 165 in
+    # float32 and t = 356 in float64, after which Adam skips its division
+    steps = 420
+    for dtype, rounds_at in ((np.float32, 165), (np.float64, 356)):
+        assert dtype(1.0 - 0.9**rounds_at) == 1.0 != dtype(1.0 - 0.9**(rounds_at - 1))
+        rng = np.random.default_rng(11)
+        start = [rng.normal(size=(40, 6)).astype(dtype),
+                 rng.normal(size=(6, 1)).astype(dtype)]
+        scales = (-3, 0, 2, -1, 1, 0)
+        grads = [[rng.normal(scale=10.0**scales[t % 6], size=x.shape).astype(dtype)
+                  for x in start] for t in range(steps)]
+        ours = [x.copy() for x in start]
+        opt = Adam(0.03)
+        for g in grads:
+            opt.step(ours, g)
+        ref = [x.copy() for x in start]
+        m, v = [np.zeros_like(x) for x in ref], [np.zeros_like(x) for x in ref]
+        for t, g in enumerate(grads, start=1):
+            _textbook_adam_step(ref, g, m, v, t, 0.03)
+        for x, y in zip(ours, ref):
+            assert x.dtype == y.dtype == dtype
+            assert np.array_equal(x, y)
 
 
 def test_forward_backward_return_fresh_arrays():

@@ -239,8 +239,9 @@ def _reference_train_predictor(sample, full_n, cfg):
     return params
 
 
-@pytest.mark.parametrize("case", ["partial", "complete", "padded", "larger"])
+@pytest.mark.parametrize("case", ["partial", "complete", "padded", "larger", "dense"])
 def test_train_predictor_bit_identical_to_reference_loop(case):
+    cfg = TrainConfig(seed=2, max_epochs=300, patience=60, tolerance=1e-3)
     if case == "partial":
         g, s = _sample(n=40, p=0.2, frac=0.7)
         full_n = g.n
@@ -253,10 +254,17 @@ def test_train_predictor_bit_identical_to_reference_loop(case):
         g = Graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
         s = sample_observed_subgraph(g, 0.8, seed=0)
         full_n = g.n
+    elif case == "dense":
+        # most draws are rejected, so epochs take several rounds and the
+        # stream refills often; 420 fixed epochs run past t = 356, where
+        # Adam's first bias correction rounds to 1 in float64
+        g = generate_erdos_renyi(30, 0.85, seed=2)
+        s = sample_observed_subgraph(g, 0.8, seed=3)
+        full_n = g.n
+        cfg = TrainConfig(seed=2, max_epochs=420, patience=420)
     else:
         g, s = _sample()
         full_n = g.n + 6
-    cfg = TrainConfig(seed=2, max_epochs=300, patience=60, tolerance=1e-3)
     got = train_predictor(s, full_n, cfg)
     embed, w = _reference_train_predictor(s, full_n, cfg)
     assert np.array_equal(got.embed, embed)
@@ -279,26 +287,46 @@ def _reference_non_edges(rng, og, count):
     return np.array([neg_u, neg_v], dtype=np.int64), rounds
 
 
-@pytest.mark.parametrize("case", ["dense", "k=2"])
-def test_sample_non_edges_draws_the_isin_reference_pairs(case):
-    if case == "dense":
+@pytest.mark.parametrize("case", ["dense", "k=2", "straddle", "collisions"])
+def test_sample_non_edges_draws_the_isin_reference_pairs(monkeypatch, case):
+    if case == "k=2":
+        # one pair, not an edge: half the draws are self-pairs
+        og = Graph(2, [])
+        count = 9
+    else:
         # 85 % of the observed pairs are edges: most draws are rejected
         og = generate_erdos_renyi(30, 0.85, seed=2)
         assert og.m >= 0.8 * 30 * 29 / 2
         count = og.m
-    else:
-        # one pair, not an edge: half the draws are self-pairs
-        og = Graph(2, [])
-        count = 9
-    got = np.empty((2, count), dtype=np.int64)
+    if case == "straddle":
+        # a stream of one epoch's first round: every later first round
+        # starts in one chunk and ends in the next
+        monkeypatch.setattr(linkpred, "_STREAM", 1)
+    if case == "collisions":
+        # one bucket per taken key: with 8 the table outnumbers this
+        # graph's k * k keys, so no bucket would hold two keys
+        monkeypatch.setattr(linkpred, "_BUCKETS", 1)
     rng, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
+    sample = linkpred._NonEdgeSampler(rng, og, count)
+    if case == "collisions":
+        # some keys that are not taken share a bucket with a taken key, so
+        # only the search can accept them
+        u, v = np.triu_indices(og.n, 1)
+        keys = u * og.n + v
+        free = ~np.isin(keys, sample.taken)
+        assert np.any(sample.occupied[keys[free] % sample.size])
     # three epochs' draws from one stream
-    for _ in range(3):
-        linkpred._sample_non_edges(rng, og.n, linkpred._taken_keys(og), got)
+    for epoch in range(3):
+        if case == "straddle":
+            assert (sample.pos + 2 * count > len(sample.stream)) == (epoch > 0)
+        got = sample()
         want, rounds = _reference_non_edges(rng_ref, og, count)
         assert rounds >= 3
         assert got.tobytes() == want.tobytes()
-        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        # the sampler took exactly the values the per-round draws took
+        fresh = np.random.default_rng(7)
+        fresh.integers(0, og.n, size=sample.used)
+        assert fresh.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_reconstruction_bce_equals_dense_label_formula():

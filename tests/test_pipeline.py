@@ -146,6 +146,28 @@ def test_full_observation_trains_no_predictor_and_scores_no_pairs(
     assert res.l_obj == 0.0 and res.combined_loss == res.h_qubo
 
 
+@pytest.mark.parametrize("fraction", [1.0, 0.98, 0.8])
+def test_full_observation_draws_no_node_sample_and_scores_once(monkeypatch, fraction):
+    # 0.98 of 20 nodes rounds to all 20: that is full observation too
+    calls = {"sample": 0, "objective": 0}
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr("cograd.pipeline.sample_observed_subgraph",
+                        counted("sample", sample_observed_subgraph))
+    monkeypatch.setattr("cograd.pipeline.objective", counted("objective", pipeline.objective))
+    g = generate_d_regular(20, 3, seed=4)
+    res = end_to_end_solve(g, _cfg(ProblemKind.MIS, observe_fraction=fraction))
+    partial = fraction == 0.8
+    assert calls == {"sample": int(partial), "objective": 1 + int(partial)}
+    if not partial:
+        assert res.objective_predicted == res.objective_true
+
+
 def test_empty_graph_counts_as_fully_observed_at_any_fraction():
     res = end_to_end_solve(Graph(0), _cfg(ProblemKind.MIS, observe_fraction=0.3))
     assert res.assignment.shape == (0,) and res.objective_true == 0.0

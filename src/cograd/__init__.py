@@ -40,12 +40,10 @@ from .graph import (
 from .linkpred import (
     PredictorParams,
     SoftAdjacency,
-    export_soft_adjacency,
     known_graph,
     pair_scores,
     predict_adjacency,
     reconstruction_bce,
-    threshold_adjacency,
     train_predictor,
 )
 from .multilinear import CoverageModel, coverage_multilinear_grads, multilinear_value
@@ -60,9 +58,8 @@ from .qubo import (
     QuboMatrix,
     brute_force_optimum,
     build_qubo,
-    eval_hamiltonian,
     export_coordinate_text,
     is_feasible,
     objective,
 )
-from .reference import GSET_BEST_KNOWN, GSET_SIZES, PUBLISHED_CUTS, best_known
+from .reference import GSET_BEST_KNOWN, PUBLISHED_CUTS, best_known

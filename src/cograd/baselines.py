@@ -44,8 +44,8 @@ def _dga_maxcut(g: Graph) -> np.ndarray:
     placed = np.zeros(g.n, dtype=bool)
     order = np.lexsort((np.arange(g.n), -g.degree))
     for v in order:
-        nbrs = g.neighbors(v)
-        wts = g.neighbor_weights(v)
+        lo, hi = g.indptr[v], g.indptr[v + 1]
+        nbrs, wts = g.indices[lo:hi], g.weights[lo:hi]
         seen = placed[nbrs]
         gain_in = float(np.sum(wts[seen & (x[nbrs] == 0)]))
         gain_out = float(np.sum(wts[seen & (x[nbrs] == 1)]))
@@ -210,8 +210,8 @@ def _maxcut_one_flip(g: Graph, x: np.ndarray) -> np.ndarray:
 
 
 def _cut_flip_improves(g: Graph, x: np.ndarray, v: int) -> bool:
-    nbrs = g.neighbors(v)
-    wts = g.neighbor_weights(v)
+    lo, hi = g.indptr[v], g.indptr[v + 1]
+    nbrs, wts = g.indices[lo:hi], g.weights[lo:hi]
     cut_now = x[nbrs] != x[v]
     # flipping v toggles the cut status of every incident edge
     return float(np.sum(wts[~cut_now]) - np.sum(wts[cut_now])) > 0.0

@@ -673,7 +673,10 @@ def train(
 
     The loss trace holds (epoch, loss, best_loss) rows, epochs starting at 1,
     and the stop reason. ``loss_offset`` is a constant added to every
-    loss, and no library caller passes it. It enters no gradient, but the
+    loss, and no library caller passes it. The benchmark's stage-by-stage
+    ``compose`` (``perfbench/workloads.py``) is its last caller, so it
+    stays until the benchmark refresh (ROADMAP item 12) deletes
+    ``compose``, and goes with it then. It enters no gradient, but the
     best-loss window and the best-p choice compare the shifted losses, so
     an offset large enough to round away their differences in float64
     changes the descent's decisions. Stopping follows :func:`descend`. The

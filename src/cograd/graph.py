@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import gzip
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -163,42 +162,6 @@ class Graph:
             (int(u), int(v), float(w))
             for u, v, w in zip(self.edge_u, self.edge_v, self.edge_w)
         )
-
-    def _node(self, v) -> int:
-        """``v`` as an index; ValueError unless it is an integer (not a
-        bool) in [0, n)."""
-        try:
-            i = operator.index(v)
-        except TypeError:
-            i = -1
-        if isinstance(v, bool) or not 0 <= i < self.n:
-            raise ValueError(f"node {v!r} is not an integer in [0, {self.n})")
-        return i
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor indices of node v (read-only view)."""
-        v = self._node(v)
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
-
-    def neighbor_weights(self, v: int) -> np.ndarray:
-        """Weights aligned with :meth:`neighbors`."""
-        v = self._node(v)
-        return self.weights[self.indptr[v] : self.indptr[v + 1]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors(u)
-        v = self._node(v)
-        i = np.searchsorted(nbrs, v)
-        return i < len(nbrs) and nbrs[i] == v
-
-    def adjacency(self) -> scipy.sparse.csr_array:
-        """Symmetric weighted adjacency as a scipy CSR array (imports
-        ``scipy.sparse`` on the first call): the graph's own CSR arrays,
-        copied, so writing into the result leaves the graph as it is."""
-        import scipy.sparse as sp
-
-        csr = (self.weights, self.indices, self.indptr)
-        return sp.csr_array(csr, shape=(self.n, self.n), copy=True)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -38,15 +38,11 @@ __all__ = [
     "known_graph",
     "train_predictor",
     "predict_adjacency",
-    "threshold_adjacency",
     "pair_scores",
     "reconstruction_bce",
-    "export_soft_adjacency",
 ]
 
 _WEIGHT_DECAY = 1e-4
-# predicted pairs below this probability carry no weight and are not exported
-_SOFT_EDGE_CUTOFF = 1e-3
 # entries of the score or pair arrays built at once, per block of rows
 _BLOCK = 1 << 14
 # rows of scores _top_partners builds at once at least: past _BLOCK // n
@@ -439,14 +435,6 @@ def predict_adjacency(
     return SoftAdjacency(n, u, v, w)
 
 
-def threshold_adjacency(soft: SoftAdjacency, tau: float) -> Graph:
-    """Unit-weight graph keeping every pair with probability at least tau."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
-    keep = soft.w >= tau
-    return Graph.from_arrays(soft.n, soft.u[keep], soft.v[keep])
-
-
 def pair_scores(
     params: PredictorParams, known: ObservedSample, pairs: np.ndarray
 ) -> np.ndarray:
@@ -502,17 +490,3 @@ def reconstruction_bce(params: PredictorParams, known: ObservedSample) -> float:
         # log s on an edge, log(1 - s) off one, as in train_predictor's loss
         total += float(np.sum(np.log(np.where(edge[upper], s, 1.0 - s))))
     return -total / n_pairs
-
-
-def export_soft_adjacency(
-    soft: SoftAdjacency, cutoff: float = _SOFT_EDGE_CUTOFF
-) -> str:
-    """Coordinate-list CSV ``i,j,prob`` of the stored pairs (i < j, in (i, j)
-    order) with probability at least ``cutoff``, which must be positive."""
-    if not cutoff > 0.0:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
-    keep = soft.w >= cutoff
-    lines = ["i,j,prob"]
-    for i, j, p in zip(soft.u[keep], soft.v[keep], soft.w[keep]):
-        lines.append(f"{int(i)},{int(j)},{float(p)!r}")
-    return "\n".join(lines) + "\n"

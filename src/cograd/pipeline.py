@@ -24,7 +24,6 @@ from .gnn import TrainConfig, _check_seed, _python_numbers, _real
 from .gnn import project_and_repair, train
 from .graph import Graph, _kept_count, sample_observed_subgraph
 from .linkpred import (
-    _SOFT_EDGE_CUTOFF,
     SoftAdjacency,
     predict_adjacency,
     reconstruction_bce,
@@ -49,6 +48,9 @@ __all__ = [
     "multilinear_value",
     "coverage_multilinear_grads",
 ]
+
+# predicted pairs below this probability carry no weight
+_SOFT_EDGE_CUTOFF = 1e-3
 
 
 @dataclass(frozen=True)

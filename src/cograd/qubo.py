@@ -26,7 +26,6 @@ __all__ = [
     "ProblemKind",
     "QuboMatrix",
     "build_qubo",
-    "eval_hamiltonian",
     "objective",
     "is_feasible",
     "brute_force_optimum",
@@ -214,15 +213,6 @@ def build_qubo(kind: ProblemKind, g: Graph, penalty: float = 2.0) -> QuboMatrix:
     return QuboMatrix.__new__(QuboMatrix)._build(
         g, csr_c, diag, diag_nodes, offset, penalty
     )
-
-
-def eval_hamiltonian(q: QuboMatrix, x: Iterable[float]) -> float:
-    """Quadratic-form value of x plus the stored offset.
-
-    Accepts binary assignments and relaxed vectors alike; a binary x cast to
-    reals evaluates identically bit for bit.
-    """
-    return q.value(np.asarray(list(x) if not hasattr(x, "__len__") else x))
 
 
 def objective(kind: ProblemKind, g: Graph, x: Iterable[float]) -> float:

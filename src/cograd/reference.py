@@ -8,7 +8,7 @@ published solvers, kept here as regression anchors for ``relative_error``.
 
 from __future__ import annotations
 
-__all__ = ["GSET_BEST_KNOWN", "GSET_SIZES", "PUBLISHED_CUTS", "best_known"]
+__all__ = ["GSET_BEST_KNOWN", "PUBLISHED_CUTS", "best_known"]
 
 # best-known MaxCut values (breakout local search)
 GSET_BEST_KNOWN: dict[str, float] = {
@@ -19,17 +19,6 @@ GSET_BEST_KNOWN: dict[str, float] = {
     "G50": 5880.0,
     "G55": 10294.0,
     "G70": 9541.0,
-}
-
-# (nodes, edges) for the same instances
-GSET_SIZES: dict[str, tuple[int, int]] = {
-    "G14": (800, 4694),
-    "G15": (800, 4661),
-    "G22": (2000, 19990),
-    "G49": (3000, 6000),
-    "G50": (3000, 6000),
-    "G55": (5000, 12468),
-    "G70": (10000, 9999),
 }
 
 # cut sizes reported by published solvers; None marks a value the source

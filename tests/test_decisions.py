@@ -37,10 +37,15 @@ decisions = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(decisions)
 
 
+def _row(g, v):
+    """Node v's neighbours and their weights, sliced from the CSR."""
+    lo, hi = g.indptr[v], g.indptr[v + 1]
+    return g.indices[lo:hi], g.weights[lo:hi]
+
+
 def _reference_flip_improves(kind, g, x, v):
-    nbrs = g.neighbors(v)
+    nbrs, wts = _row(g, v)
     if kind is MAXCUT:
-        wts = g.neighbor_weights(v)
         cut_now = x[nbrs] != x[v]
         return float(np.sum(wts[~cut_now]) - np.sum(wts[cut_now])) > 0.0
     if kind is MIS:
@@ -73,14 +78,14 @@ def _reference_repair(kind, g, p, polish=False):
             if x[u] == 1 and x[v] == 1:
                 x[v if g.degree[v] >= g.degree[u] else u] = 0
         for i in range(g.n):
-            if x[i] == 0 and not np.any(x[g.neighbors(i)] == 1):
+            if x[i] == 0 and not np.any(x[_row(g, i)[0]] == 1):
                 x[i] = 1
     elif kind is MVC:
         for u, v in zip(g.edge_u, g.edge_v):
             if x[u] == 0 and x[v] == 0:
                 x[u if g.degree[u] >= g.degree[v] else v] = 1
         for i in range(g.n - 1, -1, -1):
-            if x[i] == 1 and bool(np.all(x[g.neighbors(i)] == 1)):
+            if x[i] == 1 and bool(np.all(x[_row(g, i)[0]] == 1)):
                 x[i] = 0
     return _reference_local_search(kind, g, x) if polish else x
 
@@ -92,7 +97,7 @@ def _reference_dga(kind, g):
     if kind is MAXCUT:
         placed = np.zeros(g.n, dtype=bool)
         for v in np.lexsort((np.arange(g.n), -g.degree)):
-            nbrs, wts = g.neighbors(v), g.neighbor_weights(v)
+            nbrs, wts = _row(g, v)
             seen = placed[nbrs]
             gain_in = float(np.sum(wts[seen & (x[nbrs] == 0)]))
             gain_out = float(np.sum(wts[seen & (x[nbrs] == 1)]))
@@ -108,7 +113,7 @@ def _reference_dga(kind, g):
             v = int(np.argmin(np.where(alive, deg, np.iinfo(np.int64).max)))
             x[v] = 1
             alive[v] = False
-            alive[g.neighbors(v)] = False
+            alive[_row(g, v)[0]] = False
     else:
         covered = np.zeros(g.m, dtype=bool)
         while not np.all(covered):

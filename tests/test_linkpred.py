@@ -19,12 +19,10 @@ from cograd import linkpred
 from cograd.linkpred import (
     PredictorParams,
     SoftAdjacency,
-    export_soft_adjacency,
     known_graph,
     pair_scores,
     predict_adjacency,
     reconstruction_bce,
-    threshold_adjacency,
     train_predictor,
 )
 
@@ -95,18 +93,21 @@ def test_predict_override_and_bounds():
     stored = {(int(a), int(b)): x for a, b, x in zip(soft.u, soft.v, soft.w)}
     kept = s.kept_nodes
     og = s.observed_graph
+    observed = set(zip(og.edge_u.tolist(), og.edge_v.tolist()))
     for a in range(len(kept)):
         for b in range(a + 1, len(kept)):
             pair = (int(min(kept[a], kept[b])), int(max(kept[a], kept[b])))
             exact = stored.get(pair, 0.0)
-            assert exact == (1.0 if og.has_edge(a, b) else 0.0)
+            assert exact == (1.0 if (a, b) in observed else 0.0)
 
 
 def test_full_observation_reproduces_graph():
     g, _ = _sample()
     s = sample_observed_subgraph(g, 1.0, seed=4)
     params = train_predictor(s, 20, _FAST)
-    assert threshold_adjacency(predict_adjacency(params, s), 0.5) == g
+    soft = predict_adjacency(params, s)
+    for got, want in ((soft.u, g.edge_u), (soft.v, g.edge_v), (soft.w, g.edge_w)):
+        assert np.array_equal(got, want)
 
 
 def test_unobserved_nodes_get_scores_in_range():
@@ -119,25 +120,6 @@ def test_unobserved_nodes_get_scores_in_range():
     assert np.any(at_unobs)
     sub = soft.w[at_unobs]
     assert np.all((sub >= 0.0) & (sub <= 1.0))
-
-
-def test_threshold_monotone_in_tau():
-    g, s = _sample(frac=0.6)
-    params = train_predictor(s, 20, _FAST)
-    soft = predict_adjacency(params, s)
-    lo = {(u, v) for u, v, _ in threshold_adjacency(soft, 0.4).edges}
-    mid = {(u, v) for u, v, _ in threshold_adjacency(soft, 0.5).edges}
-    hi = {(u, v) for u, v, _ in threshold_adjacency(soft, 0.999).edges}
-    assert hi <= mid <= lo
-    with pytest.raises(ValueError):
-        threshold_adjacency(soft, 0.0)
-    with pytest.raises(ValueError):
-        threshold_adjacency(soft, 1.0)
-
-
-def test_threshold_on_blank_soft_is_empty():
-    soft = SoftAdjacency(4, [], [], [])
-    assert threshold_adjacency(soft, 0.5).m == 0
 
 
 def test_training_beats_density_baseline_on_held_out_edges():
@@ -168,14 +150,6 @@ def test_reconstruction_bce_decreases_with_training():
     barely = train_predictor(s, 20, TrainConfig(seed=0, max_epochs=1, patience=1))
     trained = train_predictor(s, 20, _FAST)
     assert reconstruction_bce(trained, s) < reconstruction_bce(barely, s)
-
-
-def test_export_soft_adjacency_csv():
-    text = export_soft_adjacency(SoftAdjacency(3, [0, 1], [1, 2], [0.75, 5e-4]))
-    lines = text.strip().splitlines()
-    assert lines[0] == "i,j,prob"
-    assert lines[1] == "0,1,0.75"
-    assert len(lines) == 2
 
 
 def test_predictor_params_full_n():
@@ -582,20 +556,6 @@ def test_pair_scores_rejects_pairs_that_are_not_node_pairs(pairs, fragment):
     got = pair_scores(params, s, np.array([[0, 19], [19, 0], [0, 19]]))
     assert got[0] == got[1] == got[2]
     assert pair_scores(params, s, np.zeros((0, 2), dtype=np.int64)).shape == (0,)
-
-
-@pytest.mark.parametrize("cutoff", [0.0, -1.0, float("nan")])
-def test_export_soft_adjacency_rejects_nonpositive_cutoff(cutoff):
-    soft = SoftAdjacency(2, [0], [1], [0.5])
-    with pytest.raises(ValueError, match="cutoff"):
-        export_soft_adjacency(soft, cutoff)
-
-
-def test_export_soft_adjacency_lists_stored_pairs_in_order():
-    soft = SoftAdjacency(5, [4, 3, 0, 2], [1, 0, 2, 1], [0.25, 0.5, 1.0, 2e-4])
-    text = export_soft_adjacency(soft)
-    assert text == "i,j,prob\n0,2,1.0\n0,3,0.5\n1,4,0.25\n"
-    assert export_soft_adjacency(soft, 1e-4).splitlines()[3] == "1,2,0.0002"
 
 
 def test_decoder_raises_no_overflow_warning():

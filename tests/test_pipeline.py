@@ -34,7 +34,7 @@ from cograd.pipeline import (
     multilinear_value,
     soft_adjacency_graph,
 )
-from cograd.qubo import ProblemKind, build_qubo, eval_hamiltonian
+from cograd.qubo import ProblemKind, build_qubo
 
 _FAST_PRED = TrainConfig(seed=1, max_epochs=60, patience=60)
 _FAST_SOLVE = TrainConfig(seed=3, max_epochs=600, patience=600)
@@ -125,7 +125,7 @@ def test_full_observation_keeps_weights_a_probability_cannot_hold(kind):
     alone = project_and_repair(kind, g, soft, polish=True)
     assert np.array_equal(res.assignment, alone)
     assert res.objective_predicted == res.objective_true
-    assert res.h_qubo == eval_hamiltonian(build_qubo(kind, g), soft.p)
+    assert res.h_qubo == build_qubo(kind, g).value(soft.p)
 
 
 @pytest.mark.parametrize("graph", ["3-regular", "weighted"])
@@ -442,14 +442,14 @@ def test_predictor_perturbation_barely_moves_solver_loss():
     q = build_qubo(ProblemKind.MAXCUT, soft_adjacency_graph(predict_adjacency(params, sample)))
     soft, _ = train(g, q, _FAST_SOLVE)
     p = np.asarray(soft)
-    base = eval_hamiltonian(q, p)
+    base = q.value(p)
     rng = np.random.default_rng(1)
     params.embed += rng.uniform(-1e-6, 1e-6, size=params.embed.shape)
     params.w += rng.uniform(-1e-6, 1e-6, size=params.w.shape)
     q2 = build_qubo(
         ProblemKind.MAXCUT, soft_adjacency_graph(predict_adjacency(params, sample))
     )
-    assert abs(eval_hamiltonian(q2, p) - base) <= 1e-3
+    assert abs(q2.value(p) - base) <= 1e-3
 
 
 def _dense_predicted_graph(params, sample):

@@ -10,7 +10,6 @@ from cograd.qubo import (
     QuboMatrix,
     brute_force_optimum,
     build_qubo,
-    eval_hamiltonian,
     export_coordinate_text,
     is_feasible,
     objective,
@@ -21,11 +20,11 @@ def test_single_edge_maxcut_values():
     g = Graph(2, [(0, 1)])
     q = build_qubo(ProblemKind.MAXCUT, g)
     # relaxed midpoint sits at half the optimal cut's energy
-    assert eval_hamiltonian(q, [0.5, 0.5]) == -0.5
-    assert eval_hamiltonian(q, [0, 0]) == 0.0
-    assert eval_hamiltonian(q, [0, 1]) == -1.0
-    assert eval_hamiltonian(q, [1, 0]) == -1.0
-    assert eval_hamiltonian(q, [1, 1]) == 0.0
+    assert q.value([0.5, 0.5]) == -0.5
+    assert q.value([0, 0]) == 0.0
+    assert q.value([0, 1]) == -1.0
+    assert q.value([1, 0]) == -1.0
+    assert q.value([1, 1]) == 0.0
 
 
 def test_maxcut_energy_is_negated_cut():
@@ -36,7 +35,7 @@ def test_maxcut_energy_is_negated_cut():
         q = build_qubo(ProblemKind.MAXCUT, g)
         for _ in range(20):
             x = rng.integers(0, 2, g.n)
-            assert -eval_hamiltonian(q, x) == objective(ProblemKind.MAXCUT, g, x)
+            assert -q.value(x) == objective(ProblemKind.MAXCUT, g, x)
 
 
 def test_mis_energy_matches_size_when_feasible():
@@ -46,7 +45,7 @@ def test_mis_energy_matches_size_when_feasible():
         rng = np.random.default_rng(seed)
         for _ in range(30):
             x = rng.integers(0, 2, g.n)
-            h = eval_hamiltonian(q, x)
+            h = q.value(x)
             if is_feasible(ProblemKind.MIS, g, x):
                 assert h == -objective(ProblemKind.MIS, g, x)
             else:
@@ -61,7 +60,7 @@ def test_mvc_energy_matches_size_when_feasible():
         rng = np.random.default_rng(seed)
         for _ in range(30):
             x = rng.integers(0, 2, g.n)
-            h = eval_hamiltonian(q, x)
+            h = q.value(x)
             if is_feasible(ProblemKind.MVC, g, x):
                 assert h == objective(ProblemKind.MVC, g, x)
             else:
@@ -89,7 +88,7 @@ def test_penalty_makes_optimum_feasible():
                 assert is_feasible(kind, g, x)
                 xo, vo = brute_force_optimum(kind, g)
                 assert objective(kind, g, x) == vo
-                assert eval_hamiltonian(q, x) == np.min(h)
+                assert q.value(x) == np.min(h)
 
 
 def test_penalty_at_most_one_rejected():
@@ -115,8 +114,8 @@ def test_mis_triangle_hand_values():
     assert v == 1.0
     # lexicographically smallest optimal singleton
     assert list(x) == [0, 0, 1]
-    assert eval_hamiltonian(q, x) == -1.0
-    assert eval_hamiltonian(q, [1, 1, 1]) == -3.0 + 3 * 2.0
+    assert q.value(x) == -1.0
+    assert q.value([1, 1, 1]) == -3.0 + 3 * 2.0
 
 
 def test_mvc_path_hand_values():
@@ -125,9 +124,9 @@ def test_mvc_path_hand_values():
     x, v = brute_force_optimum(ProblemKind.MVC, g)
     assert v == 1.0
     assert list(x) == [0, 1, 0]
-    assert eval_hamiltonian(q, x) == 1.0
+    assert q.value(x) == 1.0
     # empty cover violates both edges: offset alone remains
-    assert eval_hamiltonian(q, [0, 0, 0]) == 4.0
+    assert q.value([0, 0, 0]) == 4.0
 
 
 def test_relaxed_and_binary_paths_agree_bitwise():
@@ -137,7 +136,7 @@ def test_relaxed_and_binary_paths_agree_bitwise():
         for kind in ProblemKind:
             q = build_qubo(kind, g)
             x = rng.integers(0, 2, g.n)
-            assert eval_hamiltonian(q, x) == eval_hamiltonian(q, x.astype(np.float64))
+            assert q.value(x) == q.value(x.astype(np.float64))
 
 
 def test_gradient_matches_finite_differences():
@@ -179,13 +178,13 @@ def test_brute_force_chunking_consistent():
     assert is_feasible(ProblemKind.MAXCUT, g, x)
     assert objective(ProblemKind.MAXCUT, g, x) == v
     q = build_qubo(ProblemKind.MAXCUT, g)
-    assert -eval_hamiltonian(q, x) == v
+    assert -q.value(x) == v
 
 
 def test_qubo_matrix_merges_and_validates():
     q = QuboMatrix(3, {(1, 0): 1.0, (0, 1): 2.0, (2, 2): -1.0}, offset=5.0)
     assert q.entries == {(0, 1): 3.0, (2, 2): -1.0}
-    assert eval_hamiltonian(q, [1, 1, 1]) == 2 * 3.0 - 1.0 + 5.0
+    assert q.value([1, 1, 1]) == 2 * 3.0 - 1.0 + 5.0
     with pytest.raises(ValueError, match="out of range"):
         QuboMatrix(2, {(0, 2): 1.0})
     for entries, offset, message in [

@@ -66,6 +66,8 @@ class Graph:
         Canonical endpoints with edge_u < edge_v, sorted lexicographically.
     edge_w : float64 array, shape (m,)
     indptr, indices, weights : CSR adjacency over both edge directions.
+        Node v's neighbours, sorted, are ``indices[indptr[v]:indptr[v + 1]]``,
+        and ``weights`` holds their weights in the same slice.
     degree : float64 array, shape (n,)
         Weighted degree: sum of incident edge weights per node.
     """

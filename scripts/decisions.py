@@ -50,7 +50,14 @@ Cases:
   for the weighted 6-node graph of the qubo cases, fully observed at
   lambda = 1e20 with the default schedules (``weighted/lambda=1e20``).
   Full observation trains no predictor, so the latter pins the decision
-  with ``l_obj`` = 0, and lambda still never reaches the solver.
+  with ``l_obj`` = 0, and lambda still never reaches the solver;
+* ``predictor/reg-1500/seed=0`` and ``dfl/reg-1500/seed=0/<problem>``:
+  3-regular n = 1500, 80 % observed, 200 predictor and 150 solver epochs,
+  seed 0, as the bytes of the predictor's ``embed`` and ``w`` and as each
+  problem's decision. From about this size OpenBLAS may pick another
+  matrix-product kernel for the predictor's observed rows than for all
+  rows, so the predictor's last bits can move with the row count while
+  the decisions stay put.
 """
 
 from __future__ import annotations
@@ -136,15 +143,17 @@ def dga_local_search(kind: ProblemKind, g: Graph) -> np.ndarray:
 
 
 @cache
-def dfl_result(g: Graph, kind: ProblemKind, seed: int, lam: float = 1.0) -> PipelineResult:
+def dfl_result(g: Graph, kind: ProblemKind, seed: int, lam: float = 1.0,
+               predictor_epochs: int = 800) -> PipelineResult:
     cfg = PipelineConfig(kind=kind, observe_fraction=0.8, lam=lam, seed=seed,
-                         predictor_cfg=fixed_budget(800, seed),
+                         predictor_cfg=fixed_budget(predictor_epochs, seed),
                          solver_cfg=fixed_budget(150, seed))
     return end_to_end_solve(g, cfg)
 
 
-def dfl(g: Graph, kind: ProblemKind, seed: int, lam: float = 1.0) -> np.ndarray:
-    return dfl_result(g, kind, seed, lam).assignment
+def dfl(g: Graph, kind: ProblemKind, seed: int, lam: float = 1.0,
+        predictor_epochs: int = 800) -> np.ndarray:
+    return dfl_result(g, kind, seed, lam, predictor_epochs).assignment
 
 
 def result_bytes(result: PipelineResult) -> bytes:
@@ -170,11 +179,13 @@ def qubo_bytes(kind: ProblemKind, g: Graph) -> bytes:
         a.tobytes() for a in (csr.indptr, csr.indices, csr.data))
 
 
-def predictor_bytes(g: Graph, seed: int, epochs: int = 800) -> bytes:
+def predictor_bytes(g: Graph, seed: int, epochs: int = 800, loss: bool = True) -> bytes:
+    """The bytes of the trained ``embed`` and ``w``, then ``repr`` of the
+    reconstruction loss unless ``loss`` is false."""
     sample = sample_observed_subgraph(g, 0.8, seed)
     params = train_predictor(sample, g.n, fixed_budget(epochs, seed))
-    l_obj = reconstruction_bce(params, sample)
-    return params.embed.tobytes() + params.w.tobytes() + repr(l_obj).encode()
+    out = params.embed.tobytes() + params.w.tobytes()
+    return out + repr(reconstruction_bce(params, sample)).encode() if loss else out
 
 
 def suite_small_specs(seed: int) -> tuple[InstanceSpec, ...]:
@@ -260,6 +271,11 @@ def cases() -> Iterator[Case]:
     for kind in ProblemKind:
         yield (f"pipeline/weighted/lambda=1e20/{kind.value}",
                lambda kind=kind: result_bytes(full_observation(weighted, kind, 1e20)))
+    reg1500 = generate_d_regular(1500, 3, 0)
+    yield "predictor/reg-1500/seed=0", partial(predictor_bytes, reg1500, 0, 200, loss=False)
+    for kind in ProblemKind:
+        yield (f"dfl/reg-1500/seed=0/{kind.value}",
+               partial(dfl, reg1500, kind, 0, predictor_epochs=200))
 
 
 def digest(x: np.ndarray | bytes) -> str:

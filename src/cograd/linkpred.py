@@ -3,10 +3,13 @@
 A one-layer graph convolution encodes every node into a low-dimensional
 embedding; an inner-product decoder scores pairs. Only pairs between
 observed nodes carry training signal (observed edges as positives, sampled
-observed non-edges as negatives); embeddings of unobserved nodes are free
-parameters held near zero by weight decay. The negatives come from one
-stream of the descent's generator, drawn in bulk, and a key is searched
-among the taken pairs only when a prefilter table cannot rule it out.
+observed non-edges as negatives), so the descent works on the observed
+nodes' embeddings only. Embeddings of unobserved nodes feel nothing but
+weight decay: they take the same number of steps on it alone after the
+descent, which gives a descent over every row bit for bit. The negatives
+come from one stream of the descent's generator, drawn in bulk, and a key
+is searched among the taken pairs only when a prefilter table cannot rule
+it out.
 
 The prediction is a list of weighted pairs, never an n x n matrix.
 Observed pairs keep their ground truth, since observed evidence is certain,
@@ -28,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from ._sparse import bind, bind_scatter, spmm
-from .gnn import _P_EPS, TrainConfig, _carve, _dims, _draw_normal, _sigmoid, descend
+from .gnn import _P_EPS, Adam, TrainConfig, _carve, _dims, _draw_normal, _sigmoid
+from .gnn import descend
 from .graph import Graph, ObservedSample, _check_endpoints, _endpoint_arrays
 from .graph import _renormalized_csr
 
@@ -106,13 +110,17 @@ class SoftAdjacency:
         return f"SoftAdjacency(n={self.n}, pairs={len(self.w)})"
 
 
-def known_graph(sample: ObservedSample, full_n: int | None = None) -> Graph:
-    """Observed edges relabeled to original indices; all other nodes isolated."""
-    n = sample.original_n if full_n is None else full_n
+def _check_full_n(sample: ObservedSample, n: int) -> None:
     if n < sample.original_n:
         raise ValueError(
             f"full_n={n} is smaller than the sampled graph ({sample.original_n})"
         )
+
+
+def known_graph(sample: ObservedSample, full_n: int | None = None) -> Graph:
+    """Observed edges relabeled to original indices; all other nodes isolated."""
+    n = sample.original_n if full_n is None else full_n
+    _check_full_n(sample, n)
     og = sample.observed_graph
     kept = sample.kept_nodes
     return Graph.from_arrays(n, kept[og.edge_u], kept[og.edge_v], og.edge_w)
@@ -131,14 +139,29 @@ def train_predictor(
 
     Each epoch scores every observed edge against an equal number of freshly
     sampled observed non-edges and takes one adaptive-moment step on the
-    mean binary cross-entropy; embeddings of unobserved nodes only feel the
-    weight-decay pull. Stopping follows the same best-loss window as the
-    solver (:func:`cograd.gnn.descend`). Deterministic for a fixed config.
+    mean binary cross-entropy. Stopping follows the same best-loss window
+    as the solver (:func:`cograd.gnn.descend`). Deterministic for a fixed
+    config.
+
+    The descent works on the k observed rows of the embedding table only,
+    in observed numbering: a kept node's row of Â_known holds the entries
+    of its row of the observed graph's own renormalized adjacency, in the
+    same order, so the k x k product gives its sums bit for bit. The
+    gradient of an unobserved row is its weight-decay pull alone, so its
+    path depends only on its initial draw and on the number of steps: after
+    the descent those rows take as many adaptive-moment steps on weight
+    decay alone as the descent took (one per epoch, less the last when the
+    patience window stopped it), and the table is put back together in
+    original row order. The whole (full_n, d_in) table is drawn first, then
+    ``w``, then the negative sampler's stream, so each parameter is the one
+    a descent over every row gives. The dense products now have k rows, not
+    full_n; from about n = 1500 OpenBLAS can pick another kernel for them,
+    and the parameters' last bits then differ from that descent's.
 
     As in :func:`cograd.gnn.train`, the parameters and their gradient each
     live in one flat buffer, and every epoch writes into buffers allocated
-    once per call. The two products with Â_known and the scatter of the
-    pair gradients into dz are bound to those buffers once per call
+    once per call. The two products with Â and the scatter of the pair
+    gradients into dz are bound to those buffers once per call
     (:mod:`cograd._sparse`), so an epoch checks none of them. The scatter
     is one compiled CSC product that adds ds times the other end's code
     into each end's row in pair order, from zeros: ``np.add.at``'s sums,
@@ -151,29 +174,35 @@ def train_predictor(
     integers of one range and dtype read one continuous stream of the bit
     generator: joined per-round calls equal one bulk draw.
     ``test_train_predictor_bit_identical_to_reference_loop``, which draws
-    per round, pins that property. A prefilter table of buckets rules out
-    most candidates before any search of the taken keys.
+    per round and steps every row in one loop, pins both properties. A
+    prefilter table of buckets rules out most candidates before any search
+    of the taken keys.
 
     Raises
     ------
     ValueError
-        If the observed graph has no edges to learn from.
+        If the observed graph has no edges to learn from, or if ``full_n``
+        is smaller than the sampled graph (as :func:`known_graph` says).
     TrainingDivergedError
         If the loss becomes non-finite; the message names the epoch.
     """
     og = sample.observed_graph
     if og.m == 0:
         raise ValueError("cannot train a predictor: the observed graph has no edges")
-    a_known = _renormalized_csr(known_graph(sample, full_n))
+    _check_full_n(sample, full_n)
+    a_obs = _renormalized_csr(og)
     d_in, d_z = _dims(full_n, cfg)
 
     rng = np.random.default_rng(cfg.seed)
-    shapes = [(full_n, d_in), (d_in, d_z)]
-    flat, (embed, w) = _draw_normal(rng, shapes, [1.0 / np.sqrt(d_in)] * 2)
-    params = PredictorParams(embed=embed, w=w)
-
+    scales = [1.0 / np.sqrt(d_in)] * 2
+    _, (table, w_init) = _draw_normal(rng, [(full_n, d_in), (d_in, d_z)], scales)
     kept = sample.kept_nodes
     m, k = og.m, og.n
+    shapes = [(k, d_in), (d_in, d_z)]
+    flat, (embed, w) = _carve(shapes)
+    table.take(kept, axis=0, out=embed)
+    np.copyto(w, w_init)
+
     n_neg = m if k * (k - 1) // 2 - m > 0 else 0
     n_pairs = m + n_neg
     # the sampler's long-lived arrays come before the epoch buffers; rng
@@ -185,17 +214,14 @@ def train_predictor(
     # contiguous: z is gathered through it, so that row j of z_ends is the
     # code that ds[j] scales into row ends.ravel()[j] of dz.
     ends = np.empty((2, n_pairs), dtype=np.int64)
-    ends[0, :m] = kept[og.edge_u]
-    ends[1, :m] = kept[og.edge_v]
+    ends[0, :m] = og.edge_u
+    ends[1, :m] = og.edge_v
     others = np.empty((2, n_pairs), dtype=np.int64)
     others[:, :m] = ends[::-1, :m]
     y = np.concatenate([np.ones(m), np.zeros(n_neg)])
-    # weight decay per row: on unobserved rows only
-    decay = np.full((full_n, 1), _WEIGHT_DECAY)
-    decay[kept] = 0.0
 
-    m_in = np.empty((full_n, d_in))
-    z = np.empty((full_n, d_z))
+    m_in = np.empty((k, d_in))
+    z = np.empty((k, d_z))
     z_ends = np.empty((2, n_pairs, d_z))
     z_v, z_u = z_ends
     prod = np.empty((n_pairs, d_z))
@@ -204,25 +230,24 @@ def train_predictor(
     # ds once per end: the weights of the scatter, in ends.ravel()'s order
     ds_ends = np.empty((2, n_pairs))
     ds = ds_ends[0]
-    dz = np.empty((full_n, d_z))
-    # m_in is dead once dw is taken, so dz @ w.T goes into its buffer, and
-    # dm once dembed is taken, so the decay term goes into it
+    dz = np.empty((k, d_z))
+    # m_in is dead once dw is taken, so dz @ w.T goes into its buffer
     dm = m_in
     grad, (dembed, dw) = _carve(shapes)
-    a_embed = bind(a_known, embed, m_in)
-    a_dm = bind(a_known, dm, dembed)
+    a_embed = bind(a_obs, embed, m_in)
+    a_dm = bind(a_obs, dm, dembed)
     scatter = bind_scatter(
         ends.reshape(-1), ds_ends.reshape(-1), z_ends.reshape(-1, d_z), dz
     )
 
     def evaluate():
-        # every index is in range: mode="clip" spares np.take the copy of
-        # ``out`` that mode="raise" makes
-        neg_obs = sample_non_edges()
-        kept.take(neg_obs, out=ends[:, m:], mode="clip")
-        kept.take(neg_obs[::-1], out=others[:, m:], mode="clip")
+        neg = sample_non_edges()
+        np.copyto(ends[:, m:], neg)
+        np.copyto(others[:, m:], neg[::-1])
         a_embed()
         np.matmul(m_in, w, out=z)
+        # every index is in range: mode="clip" spares np.take the copy of
+        # ``out`` that mode="raise" makes
         z.take(others, axis=0, out=z_ends, mode="clip")
         np.multiply(z_u, z_v, out=prod)
         # np.sum and np.mean bit for bit, without their Python wrappers
@@ -244,15 +269,34 @@ def train_predictor(
         np.matmul(m_in.T, dz, out=dw)
         np.matmul(dz, w.T, out=dm)
         a_dm()
-        # dembed[unobs] += _WEIGHT_DECAY * embed[unobs] bit for bit: a_dm
-        # sums from +0.0, so dembed holds no -0.0 and the observed rows'
-        # signed zeros add nothing
-        np.multiply(embed, decay, out=dm)
-        np.add(dembed, dm, out=dembed)
         return loss, grad
 
-    descend(flat, evaluate, cfg)
-    return params
+    trace = descend(flat, evaluate, cfg)
+    # a step follows every epoch but the one the patience window stops in
+    steps = len(trace) - 1 if trace.stop_reason == "patience" else len(trace)
+    unobs = np.setdiff1d(np.arange(full_n), kept)
+    if len(unobs):
+        table[unobs] = _decayed(table[unobs], steps, cfg.learning_rate)
+    table[kept] = embed
+    return PredictorParams(embed=table, w=w)
+
+
+def _decayed(rows: np.ndarray, steps: int, learning_rate: float) -> np.ndarray:
+    """``rows`` after ``steps`` adaptive-moment steps on the weight-decay
+    gradient _WEIGHT_DECAY * rows alone, in place.
+
+    In a descent over the whole table an unobserved row's gradient is
+    exactly this: its row of Â_known is its diagonal 1, and its codes take
+    no pair gradient, so the product adds only +0.0 before the decay term.
+    Adam works element by element, with bias corrections that depend only
+    on the step count, so these steps give that descent's rows bit for bit.
+    """
+    opt = Adam(learning_rate)
+    grad = np.empty_like(rows)
+    for _ in range(steps):
+        np.multiply(rows, _WEIGHT_DECAY, out=grad)
+        opt.step([rows], [grad])
+    return rows
 
 
 def _taken_keys(og: Graph) -> np.ndarray:

@@ -69,6 +69,23 @@ def test_train_predictor_rejects_edgeless_observation():
         train_predictor(s, 10, _FAST)
 
 
+def test_train_predictor_rejects_full_n_below_the_sample(monkeypatch):
+    g, s = _sample()
+    with pytest.raises(ValueError) as want:
+        known_graph(s, full_n=g.n - 1)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work before the check")
+
+    # the check comes before Â is built or anything is drawn
+    monkeypatch.setattr(linkpred, "_renormalized_csr", no_work)
+    monkeypatch.setattr(linkpred, "_draw_normal", no_work)
+    with pytest.raises(ValueError) as got:
+        train_predictor(s, g.n - 1, _FAST)
+    assert str(got.value) == str(want.value)
+    assert "full_n=19" in str(got.value)
+
+
 def test_train_predictor_divergence_names_epoch():
     _, s = _sample()
     cfg = TrainConfig(seed=0, learning_rate=1e150, max_epochs=50)
@@ -159,8 +176,11 @@ def test_predictor_params_full_n():
 
 def _reference_train_predictor(sample, full_n, cfg):
     """train_predictor as a plain out-of-place loop over public calls:
-    np.add.at scatters, np.isin for the negative draws, textbook Adam and
-    the best-loss patience window."""
+    np.add.at scatters, np.isin for the negative draws, textbook Adam over
+    every row of the table, the unobserved ones with weight decay, and the
+    best-loss patience window. Returns the parameters, the number of
+    epochs run and why the loop stopped: a stop by the window takes no step
+    in its last epoch."""
     og, kept = sample.observed_graph, sample.kept_nodes
     a_known = renormalized_adjacency(known_graph(sample, full_n))
     d_in, d_z = default_dims(full_n)
@@ -197,7 +217,7 @@ def _reference_train_predictor(sample, full_n, cfg):
         best = min(best, loss)
         trace.append(best)
         if epoch > cfg.patience and trace[epoch - 1 - cfg.patience] - best < cfg.tolerance:
-            break
+            return params, epoch, "patience"
         ds = (s - y) / len(y)
         dz = np.zeros_like(z)
         np.add.at(dz, u, ds[:, None] * z[v])
@@ -210,10 +230,23 @@ def _reference_train_predictor(sample, full_n, cfg):
             m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
             v2[i] = 0.999 * v2[i] + (1.0 - 0.999) * g * g
             x -= cfg.learning_rate * (m[i] / c1) / (np.sqrt(v2[i] / c2) + 1e-8)
-    return params
+    return params, cfg.max_epochs, "max_epochs"
 
 
-@pytest.mark.parametrize("case", ["partial", "complete", "padded", "larger", "dense"])
+# why each case's descent stops: by the window, the last epoch takes no
+# step, so the unobserved rows take one step fewer than the epochs run
+_STOP_REASONS = {
+    "partial": "patience",
+    "complete": "patience",
+    "padded": "patience",
+    "larger": "patience",
+    "dense": "max_epochs",
+    "isolated": "patience",
+    "isolated/max_epochs": "max_epochs",
+}
+
+
+@pytest.mark.parametrize("case", list(_STOP_REASONS))
 def test_train_predictor_bit_identical_to_reference_loop(case):
     cfg = TrainConfig(seed=2, max_epochs=300, patience=60, tolerance=1e-3)
     if case == "partial":
@@ -236,11 +269,22 @@ def test_train_predictor_bit_identical_to_reference_loop(case):
         s = sample_observed_subgraph(g, 0.8, seed=3)
         full_n = g.n
         cfg = TrainConfig(seed=2, max_epochs=420, patience=420)
+    elif case.startswith("isolated"):
+        # observed nodes whose every neighbour is unobserved: their rows of
+        # Â hold only the diagonal, and they feel only negative pairs
+        g = generate_d_regular(60, 3, seed=0)
+        s = sample_observed_subgraph(g, 0.5, seed=0)
+        assert np.any(s.observed_graph.degree == 0)
+        full_n = g.n + 3
+        if case == "isolated/max_epochs":
+            cfg = TrainConfig(seed=2, max_epochs=80, patience=80)
     else:
         g, s = _sample()
         full_n = g.n + 6
     got = train_predictor(s, full_n, cfg)
-    embed, w = _reference_train_predictor(s, full_n, cfg)
+    (embed, w), epochs, reason = _reference_train_predictor(s, full_n, cfg)
+    assert reason == _STOP_REASONS[case]
+    assert (epochs < cfg.max_epochs) == (reason == "patience")
     assert np.array_equal(got.embed, embed)
     assert np.array_equal(got.w, w)
 

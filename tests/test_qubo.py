@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from cograd.graph import Graph, generate_erdos_renyi
+from cograd.multilinear import multilinear_value
 from cograd.qubo import (
     ProblemKind,
     QuboMatrix,
@@ -129,14 +130,25 @@ def test_mvc_path_hand_values():
     assert q.value([0, 0, 0]) == 4.0
 
 
-def test_relaxed_and_binary_paths_agree_bitwise():
-    for seed in range(4):
-        g = generate_erdos_renyi(12, 0.3, seed=seed)
-        rng = np.random.default_rng(seed)
+def test_relaxed_value_is_the_multilinear_extension_of_the_binary_value():
+    # H(p) is multilinear (the diagonal enters linearly and Q has no
+    # self-pairs off it), so it is H(0) plus the expectation of
+    # H(1_S) - H(0) under independent Bernoulli(p_i) draws of S
+    for n in (5, 9, 12):
+        g = generate_erdos_renyi(n, 0.4, seed=n)
+        rng = np.random.default_rng(n)
         for kind in ProblemKind:
             q = build_qubo(kind, g)
-            x = rng.integers(0, 2, g.n)
-            assert q.value(x) == q.value(x.astype(np.float64))
+            h0 = q.value(np.zeros(n))
+
+            def gain(subset):
+                x = np.zeros(n)
+                x[list(subset)] = 1.0
+                return q.value(x) - h0
+
+            for p in (rng.uniform(size=n), rng.integers(0, 2, n).astype(np.float64)):
+                want = h0 + multilinear_value(gain, p)
+                assert q.value(p) == pytest.approx(want, rel=1e-12, abs=1e-9)
 
 
 def test_gradient_matches_finite_differences():

@@ -154,7 +154,7 @@ def train_predictor(
     patience window stopped it), and the table is put back together in
     original row order. The whole (full_n, d_in) table is drawn first, then
     ``w``, then the negative sampler's stream, so each parameter is the one
-    a descent over every row gives. The dense products now have k rows, not
+    a descent over every row gives. The dense products have k rows, not
     full_n; from about n = 1500 OpenBLAS can pick another kernel for them,
     and the parameters' last bits then differ from that descent's.
 

@@ -10,7 +10,7 @@ they list. The run time goes to stderr. The script imports cograd from the
 ``src`` of the checkout it sits in, so a copy placed in another checkout
 runs that checkout's code, and ``diff`` of the two outputs names every
 decision that moved. It calls public functions only, and reads a QUBO's
-CSR arrays.
+CSR arrays and the predictor's codes (``linkpred._encode``).
 
 Cases:
 
@@ -57,7 +57,11 @@ Cases:
   problem's decision. From about this size OpenBLAS may pick another
   matrix-product kernel for the predictor's observed rows than for all
   rows, so the predictor's last bits can move with the row count while
-  the decisions stay put.
+  the decisions stay put;
+* ``codes/padded/seed=0``: the predictor's codes, as the bytes of
+  ``linkpred._encode``, for an Erdos-Renyi graph (n = 40, p = 0.2), 60 %
+  observed, trained at 100 fixed epochs with ``full_n`` = 46, so that six
+  padding rows follow the sampled graph's.
 """
 
 from __future__ import annotations
@@ -98,6 +102,7 @@ from cograd import (  # noqa: E402
     train,
     train_predictor,
 )
+from cograd import linkpred  # noqa: E402
 
 # a decision, or the bytes of an array-valued result
 Case = tuple[str, Callable[[], np.ndarray | bytes]]
@@ -188,6 +193,14 @@ def predictor_bytes(g: Graph, seed: int, epochs: int = 800, loss: bool = True) -
     return out + repr(reconstruction_bce(params, sample)).encode() if loss else out
 
 
+def padded_code_bytes(g: Graph, seed: int) -> bytes:
+    """The bytes of the codes of a predictor trained on 60 % of ``g`` over
+    six more rows than ``g`` has nodes, at 100 fixed epochs."""
+    sample = sample_observed_subgraph(g, 0.6, seed)
+    params = train_predictor(sample, g.n + 6, fixed_budget(100, seed))
+    return linkpred._encode(params, sample).tobytes()
+
+
 def suite_small_specs(seed: int) -> tuple[InstanceSpec, ...]:
     """suite-small's instances as bench generators, with the graph seeds its
     set-up draws."""
@@ -276,6 +289,8 @@ def cases() -> Iterator[Case]:
     for kind in ProblemKind:
         yield (f"dfl/reg-1500/seed=0/{kind.value}",
                partial(dfl, reg1500, kind, 0, predictor_epochs=200))
+    er40 = generate_erdos_renyi(40, 0.2, 0)
+    yield "codes/padded/seed=0", partial(padded_code_bytes, er40, 0)
 
 
 def digest(x: np.ndarray | bytes) -> str:

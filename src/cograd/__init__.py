@@ -40,7 +40,6 @@ from .graph import (
 from .linkpred import (
     PredictorParams,
     SoftAdjacency,
-    known_graph,
     pair_scores,
     predict_adjacency,
     reconstruction_bce,

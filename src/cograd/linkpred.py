@@ -1,7 +1,9 @@
 """Edge prediction from a partially observed graph.
 
-A one-layer graph convolution encodes every node into a low-dimensional
-embedding; an inner-product decoder scores pairs. Only pairs between
+A one-layer graph convolution over the observed graph encodes each
+observed node into a low-dimensional code; a node the sample does not hold
+has no neighbourhood in it, so its code is its own embedding row times the
+projection. An inner-product decoder scores pairs. Only pairs between
 observed nodes carry training signal (observed edges as positives, sampled
 observed non-edges as negatives), so the descent works on the observed
 nodes' embeddings only. Embeddings of unobserved nodes feel nothing but
@@ -30,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._sparse import bind, bind_scatter, spmm
+from ._sparse import Csr, bind, bind_scatter, spmm
 from .gnn import _P_EPS, Adam, TrainConfig, _carve, _dims, _draw_normal, _sigmoid
 from .gnn import descend
 from .graph import Graph, ObservedSample, _check_endpoints, _endpoint_arrays
@@ -39,7 +41,6 @@ from .graph import _renormalized_csr
 __all__ = [
     "PredictorParams",
     "SoftAdjacency",
-    "known_graph",
     "train_predictor",
     "predict_adjacency",
     "pair_scores",
@@ -64,9 +65,11 @@ class PredictorParams:
     """Embedding table over all nodes plus the encoder projection.
 
     ``embed`` is (full_n, d_in); ``w`` is (d_in, d_z); node i's code is row i
-    of Â_known @ embed @ w, where Â_known is the renormalized adjacency of
-    the known graph (observed edges at original indices, unobserved nodes
-    isolated).
+    of M @ w. M's row at the j-th kept node is row j of Â_obs @ embed[kept],
+    where Â_obs is the renormalized adjacency of the observed graph in
+    observed numbering. Every other row of M, at an unobserved node or at a
+    padding row past the sampled graph, is 0.0 + its embedding row: its
+    renormalized row is its self-loop alone.
     """
 
     embed: np.ndarray
@@ -117,19 +120,23 @@ def _check_full_n(sample: ObservedSample, n: int) -> None:
         )
 
 
-def known_graph(sample: ObservedSample, full_n: int | None = None) -> Graph:
-    """Observed edges relabeled to original indices; all other nodes isolated."""
-    n = sample.original_n if full_n is None else full_n
-    _check_full_n(sample, n)
-    og = sample.observed_graph
-    kept = sample.kept_nodes
-    return Graph.from_arrays(n, kept[og.edge_u], kept[og.edge_v], og.edge_w)
-
-
 def _encode(params: PredictorParams, known: ObservedSample) -> np.ndarray:
-    a_known = _renormalized_csr(known_graph(known, params.full_n))
+    """Every node's code, as :class:`PredictorParams` defines it.
+
+    Â_obs is read with its columns at original indices, so it multiplies
+    the whole table and no copy of ``embed[kept]`` is made. The product
+    with ``w`` takes all full_n rows at once: OpenBLAS may pick another
+    kernel for fewer rows, whose last bits differ."""
+    _check_full_n(known, params.full_n)
+    kept = known.kept_nodes
     embed = np.asarray(params.embed, dtype=np.float64)
-    return spmm(a_known, embed, np.empty(embed.shape)) @ params.w
+    a = _renormalized_csr(known.observed_graph)
+    cols = kept.astype(a.indices.dtype)[a.indices]
+    # what a product's zeroed sum and diagonal 1 give, -0.0 included
+    m = embed + 0.0
+    m[kept] = spmm(Csr(a.indptr, cols, a.data, (len(kept), len(embed))), embed,
+                   np.empty((len(kept), embed.shape[1])))
+    return m @ params.w
 
 
 def train_predictor(
@@ -144,17 +151,17 @@ def train_predictor(
     config.
 
     The descent works on the k observed rows of the embedding table only,
-    in observed numbering: a kept node's row of Â_known holds the entries
-    of its row of the observed graph's own renormalized adjacency, in the
-    same order, so the k x k product gives its sums bit for bit. The
-    gradient of an unobserved row is its weight-decay pull alone, so its
-    path depends only on its initial draw and on the number of steps: after
-    the descent those rows take as many adaptive-moment steps on weight
-    decay alone as the descent took (one per epoch, less the last when the
-    patience window stopped it), and the table is put back together in
-    original row order. The whole (full_n, d_in) table is drawn first, then
-    ``w``, then the negative sampler's stream, so each parameter is the one
-    a descent over every row gives. The dense products have k rows, not
+    in observed numbering, through the observed graph's own renormalized
+    adjacency, which is how those rows' codes are defined
+    (:class:`PredictorParams`). An unobserved row's code is its own row,
+    which no scored pair reaches, so its gradient is its weight-decay pull
+    alone and its path depends only on its initial draw and on the number
+    of steps: after the descent those rows take as many adaptive-moment
+    steps on weight decay alone as the descent took (one per epoch, less
+    the last when the patience window stopped it), and the table is put
+    back together in original row order. The whole (full_n, d_in) table is
+    drawn first, then ``w``, then the negative sampler's stream, so each
+    parameter is the one a descent over every row gives. The dense products have k rows, not
     full_n; from about n = 1500 OpenBLAS can pick another kernel for them,
     and the parameters' last bits then differ from that descent's.
 
@@ -182,7 +189,8 @@ def train_predictor(
     ------
     ValueError
         If the observed graph has no edges to learn from, or if ``full_n``
-        is smaller than the sampled graph (as :func:`known_graph` says).
+        is smaller than the sampled graph, before any work, in the words
+        the scorers use.
     TrainingDivergedError
         If the loss becomes non-finite; the message names the epoch.
     """
@@ -286,8 +294,9 @@ def _decayed(rows: np.ndarray, steps: int, learning_rate: float) -> np.ndarray:
     gradient _WEIGHT_DECAY * rows alone, in place.
 
     In a descent over the whole table an unobserved row's gradient is
-    exactly this: its row of Â_known is its diagonal 1, and its codes take
-    no pair gradient, so the product adds only +0.0 before the decay term.
+    exactly this: its renormalized row is its self-loop alone and its code
+    takes no pair gradient, so the product adds only +0.0 before the decay
+    term.
     Adam works element by element, with bias corrections that depend only
     on the step count, so these steps give that descent's rows bit for bit.
     """
@@ -461,9 +470,13 @@ def predict_adjacency(
     endpoint chose it. All other pairs have probability 0, so the result
     has at most m_obs + k * n_unobs pairs. Scores are computed in row blocks
     of bounded size; no n x n array is built. At full observation the
-    prediction is the observed graph with clipped weights.
+    prediction is the observed graph with clipped weights. Raises
+    ValueError, before any work, if ``params`` has fewer rows than the
+    sampled graph has nodes, as :func:`pair_scores` and
+    :func:`reconstruction_bce` do when they encode.
     """
     n = params.full_n
+    _check_full_n(known, n)
     kept = known.kept_nodes
     og = known.observed_graph
     unobs = np.setdiff1d(np.arange(n), kept)
@@ -485,7 +498,8 @@ def pair_scores(
     """Decoder probabilities sigma(z_i . z_j) for an array of (i, j) rows,
     without the observed-evidence override. Raises ValueError for pairs that
     are not a (k, 2) array, then, in :meth:`Graph.from_arrays`'s words, for
-    the first pair with an endpoint that is no node or with equal endpoints.
+    the first pair with an endpoint that is no node or with equal endpoints,
+    then if ``params`` has fewer rows than the sampled graph has nodes.
     """
     pairs = np.asarray(pairs)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -506,7 +520,8 @@ def reconstruction_bce(params: PredictorParams, known: ObservedSample) -> float:
     multiplied against rows r0 onwards in one broadcast product, whose
     pairs above the diagonal it keeps; its edge labels come from the
     block's slice of the canonical edge list. No code is gathered per
-    pair. Deterministic.
+    pair. Deterministic. Raises ValueError, before any scoring, if
+    ``params`` has fewer rows than the sampled graph has nodes.
     """
     kept = known.kept_nodes
     og = known.observed_graph

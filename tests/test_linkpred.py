@@ -19,7 +19,6 @@ from cograd import linkpred
 from cograd.linkpred import (
     PredictorParams,
     SoftAdjacency,
-    known_graph,
     pair_scores,
     predict_adjacency,
     reconstruction_bce,
@@ -34,15 +33,11 @@ def _sample(n=20, p=0.25, frac=0.7, gseed=3, sseed=1):
     return g, sample_observed_subgraph(g, frac, seed=sseed)
 
 
-def test_known_graph_relabels_to_original_indices():
-    g, s = _sample()
-    kg = known_graph(s)
-    assert kg.n == g.n
-    kept = set(int(v) for v in s.kept_nodes)
-    want = sorted((u, v) for u, v, _ in g.edges if u in kept and v in kept)
-    assert [(u, v) for u, v, _ in kg.edges] == want
-    with pytest.raises(ValueError):
-        known_graph(s, full_n=g.n - 1)
+def _known_graph(sample, full_n):
+    """The observed edges at original indices over full_n nodes; every
+    other node isolated."""
+    og, kept = sample.observed_graph, sample.kept_nodes
+    return Graph.from_arrays(full_n, kept[og.edge_u], kept[og.edge_v], og.edge_w)
 
 
 def test_soft_adjacency_validation():
@@ -69,21 +64,67 @@ def test_train_predictor_rejects_edgeless_observation():
         train_predictor(s, 10, _FAST)
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work before the check")
+
+
 def test_train_predictor_rejects_full_n_below_the_sample(monkeypatch):
     g, s = _sample()
-    with pytest.raises(ValueError) as want:
-        known_graph(s, full_n=g.n - 1)
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work before the check")
-
     # the check comes before Â is built or anything is drawn
-    monkeypatch.setattr(linkpred, "_renormalized_csr", no_work)
-    monkeypatch.setattr(linkpred, "_draw_normal", no_work)
+    monkeypatch.setattr(linkpred, "_renormalized_csr", _no_work)
+    monkeypatch.setattr(linkpred, "_draw_normal", _no_work)
     with pytest.raises(ValueError) as got:
         train_predictor(s, g.n - 1, _FAST)
-    assert str(got.value) == str(want.value)
-    assert "full_n=19" in str(got.value)
+    assert str(got.value) == "full_n=19 is smaller than the sampled graph (20)"
+
+
+@pytest.mark.parametrize("frac", [1.0, 0.7])
+@pytest.mark.parametrize(
+    "score",
+    [
+        predict_adjacency,
+        lambda params, s: pair_scores(params, s, np.array([[0, 1]])),
+        reconstruction_bce,
+    ],
+    ids=["predict_adjacency", "pair_scores", "reconstruction_bce"],
+)
+def test_scorers_reject_a_table_smaller_than_the_sample(monkeypatch, score, frac):
+    _, s = _sample(frac=frac)
+    params = PredictorParams(embed=np.zeros((19, 4)), w=np.zeros((4, 2)))
+    # the check comes before Â is built or a prediction made
+    monkeypatch.setattr(linkpred, "_renormalized_csr", _no_work)
+    monkeypatch.setattr(linkpred, "SoftAdjacency", _no_work)
+    with pytest.raises(ValueError) as got:
+        score(params, s)
+    assert str(got.value) == "full_n=19 is smaller than the sampled graph (20)"
+
+
+@pytest.mark.parametrize("case", ["padded", "isolated", "reg-1600"])
+def test_codes_equal_the_known_graph_product(case):
+    # the codes against Â of the observed edges at original indices, every
+    # other node isolated, times embed and w over all full_n rows
+    if case == "padded":
+        g, s = _sample(n=40, p=0.2, frac=0.6)
+        full_n = g.n + 6
+    elif case == "isolated":
+        g = generate_d_regular(60, 3, seed=0)
+        s = sample_observed_subgraph(g, 0.5, seed=0)
+        assert np.any(s.observed_graph.degree == 0)
+        full_n = g.n
+    else:
+        # past the size where OpenBLAS may switch kernels with the rows: a
+        # product with w over fewer rows moves the last bits here
+        g = generate_d_regular(1600, 3, seed=0)
+        s = sample_observed_subgraph(g, 0.8, seed=0)
+        full_n = g.n
+    d_in, d_z = default_dims(full_n)
+    rng = np.random.default_rng(5)
+    params = PredictorParams(
+        embed=rng.normal(size=(full_n, d_in)), w=rng.normal(size=(d_in, d_z))
+    )
+    want = (renormalized_adjacency(_known_graph(s, full_n)) @ params.embed) @ params.w
+    got = linkpred._encode(params, s)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_train_predictor_divergence_names_epoch():
@@ -182,7 +223,7 @@ def _reference_train_predictor(sample, full_n, cfg):
     epochs run and why the loop stopped: a stop by the window takes no step
     in its last epoch."""
     og, kept = sample.observed_graph, sample.kept_nodes
-    a_known = renormalized_adjacency(known_graph(sample, full_n))
+    a_known = renormalized_adjacency(_known_graph(sample, full_n))
     d_in, d_z = default_dims(full_n)
     rng = np.random.default_rng(cfg.seed)
     params = [rng.normal(0.0, 1.0 / np.sqrt(d_in), (full_n, d_in)),
@@ -499,7 +540,7 @@ def test_partner_budget_is_sampling_corrected_mean_degree():
 
 def test_tied_scores_go_to_smaller_index():
     # nodes 0 and 1 are observed with one edge; 2..7 are unobserved and
-    # isolated in the known graph, so their codes are their embedding rows.
+    # have no observed neighbourhood, so their codes are their embedding rows.
     # Every unobserved pair scores exactly 1 and every pair with an
     # observed node 0; the budget is round(2 * 1 * 8 / 2**2) = 4 of 5 ties.
     s = ObservedSample(

@@ -22,7 +22,6 @@ from cograd.graph import (
 )
 from cograd.linkpred import (
     PredictorParams,
-    known_graph,
     predict_adjacency,
     train_predictor,
 )
@@ -457,11 +456,12 @@ def _dense_predicted_graph(params, sample):
     symmetrized, observed pairs overwritten with their clipped truth, pairs
     below 1e-3 dropped."""
     n = params.full_n
-    z = (renormalized_adjacency(known_graph(sample, n)) @ params.embed) @ params.w
+    kept, og = sample.kept_nodes, sample.observed_graph
+    known = Graph.from_arrays(n, kept[og.edge_u], kept[og.edge_v], og.edge_w)
+    z = (renormalized_adjacency(known) @ params.embed) @ params.w
     probs = expit(z @ z.T)
     np.fill_diagonal(probs, 0.0)
     probs = (probs + probs.T) / 2.0
-    kept, og = sample.kept_nodes, sample.observed_graph
     block = np.zeros((len(kept), len(kept)))
     block[og.edge_u, og.edge_v] = og.edge_w
     block[og.edge_v, og.edge_u] = og.edge_w

@@ -161,9 +161,10 @@ def train_predictor(
     the last when the patience window stopped it), and the table is put
     back together in original row order. The whole (full_n, d_in) table is
     drawn first, then ``w``, then the negative sampler's stream, so each
-    parameter is the one a descent over every row gives. The dense products have k rows, not
-    full_n; from about n = 1500 OpenBLAS can pick another kernel for them,
-    and the parameters' last bits then differ from that descent's.
+    parameter is the one a descent over every row gives. The dense products
+    have k rows, not full_n; from about n = 1500 OpenBLAS can pick another
+    kernel for them, and the parameters' last bits then differ from that
+    descent's.
 
     As in :func:`cograd.gnn.train`, the parameters and their gradient each
     live in one flat buffer, and every epoch writes into buffers allocated
@@ -521,15 +522,16 @@ def reconstruction_bce(params: PredictorParams, known: ObservedSample) -> float:
     pairs above the diagonal it keeps; its edge labels come from the
     block's slice of the canonical edge list. No code is gathered per
     pair. Deterministic. Raises ValueError, before any scoring, if
-    ``params`` has fewer rows than the sampled graph has nodes.
+    ``params`` has fewer rows than the sampled graph has nodes, however
+    few nodes the sample holds.
     """
     kept = known.kept_nodes
     og = known.observed_graph
+    z = _encode(params, known)[kept]
     k = len(kept)
     n_pairs = k * (k - 1) // 2
     if n_pairs == 0:
         return 0.0
-    z = _encode(params, known)[kept]
     cols = np.arange(k)
     total = 0.0
     for block in _row_blocks(cols, k):

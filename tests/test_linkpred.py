@@ -78,7 +78,8 @@ def test_train_predictor_rejects_full_n_below_the_sample(monkeypatch):
     assert str(got.value) == "full_n=19 is smaller than the sampled graph (20)"
 
 
-@pytest.mark.parametrize("frac", [1.0, 0.7])
+# 0.05 keeps one node, which has no pair to score
+@pytest.mark.parametrize("frac", [1.0, 0.7, 0.05])
 @pytest.mark.parametrize(
     "score",
     [

@@ -16,7 +16,9 @@ BENCHMARK.json), their medians and quartiles, the pairs in which the change
 is better or tied, failed and attempted decisions, exit codes and the
 machine. A gain is shown when the change wins at least nine tenths of the
 pairs and its median beats the parent's by more than the parent's
-interquartile range.
+interquartile range. A metric is within its bound when the change's median
+is worse than the parent's by no more than ``bound`` times the parent's
+median.
 
 It also runs the change's ``scripts/decisions.py`` in a fresh archive of
 each commit and records, under ``decisions``, how many cases there are,
@@ -130,6 +132,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                     if parent["median"] else None
                 ),
                 "gain_shown": better >= 0.9 * len(paired) and gap > iqr,
+                "within_bound": -gap <= m["bound"] * abs(parent["median"]),
             }
         out[w] = entry
     return out
@@ -292,7 +295,9 @@ def main(argv=None) -> int:
             "parent first on odd seeds; medians and quartiles (statistics.quantiles, "
             "n=4, inclusive) over the seeds with both results; runs in seed order. "
             "gain_shown: the change is better in >= 9/10 of the pairs and its median "
-            "beats the parent's by more than the parent's interquartile range"
+            "beats the parent's by more than the parent's interquartile range. "
+            "within_bound: the change's median is worse than the parent's by no "
+            "more than bound times the parent's median"
         ),
         "workloads": summarize(runs, spec["end_to_end"]),
         "decisions": run_decisions(rev, workdir),

@@ -41,6 +41,10 @@ Cases:
 * ``predictor/dense/seed=0``: the same for an Erdos-Renyi graph (n = 100,
   p = 0.8), 80 % observed, at 400 epochs. Most negative draws hit an
   observed edge, so each epoch takes several rounds of draws;
+* ``predicted/dfl-partial/seed=0``: the graph the solver runs on in
+  dfl-partial's shape, ``soft_adjacency_graph(predict_adjacency(...))`` of
+  the ``predictor/seed=0`` predictor, as the bytes of its ``edge_u``,
+  ``edge_v`` and ``edge_w``;
 * ``trace/reg-100/<problem>/<schedule>``: the solver's descent on reg-100
   at 200 fixed epochs (``epochs=200``) and at the default schedule
   (``default``), as the bytes of ``export_loss_trace`` of its trace, then
@@ -82,8 +86,10 @@ sys.path.insert(0, str(ROOT / "src"))
 from cograd import (  # noqa: E402
     Graph,
     InstanceSpec,
+    ObservedSample,
     PipelineConfig,
     PipelineResult,
+    PredictorParams,
     ProblemKind,
     SuiteSpec,
     TrainConfig,
@@ -95,10 +101,12 @@ from cograd import (  # noqa: E402
     generate_d_regular,
     generate_erdos_renyi,
     one_flip_local_search,
+    predict_adjacency,
     project_and_repair,
     reconstruction_bce,
     run_suite,
     sample_observed_subgraph,
+    soft_adjacency_graph,
     train,
     train_predictor,
 )
@@ -184,13 +192,28 @@ def qubo_bytes(kind: ProblemKind, g: Graph) -> bytes:
         a.tobytes() for a in (csr.indptr, csr.indices, csr.data))
 
 
+@cache
+def predictor(g: Graph, seed: int, epochs: int) -> tuple[ObservedSample, PredictorParams]:
+    """The 80 % sample of ``g`` and the predictor trained on it, as
+    ``end_to_end_solve`` draws and trains them."""
+    sample = sample_observed_subgraph(g, 0.8, seed)
+    return sample, train_predictor(sample, g.n, fixed_budget(epochs, seed))
+
+
 def predictor_bytes(g: Graph, seed: int, epochs: int = 800, loss: bool = True) -> bytes:
     """The bytes of the trained ``embed`` and ``w``, then ``repr`` of the
     reconstruction loss unless ``loss`` is false."""
-    sample = sample_observed_subgraph(g, 0.8, seed)
-    params = train_predictor(sample, g.n, fixed_budget(epochs, seed))
+    sample, params = predictor(g, seed, epochs)
     out = params.embed.tobytes() + params.w.tobytes()
     return out + repr(reconstruction_bce(params, sample)).encode() if loss else out
+
+
+def predicted_bytes(g: Graph, seed: int, epochs: int = 800) -> bytes:
+    """The bytes of the predicted graph's ``edge_u``, ``edge_v`` and
+    ``edge_w`` past the cutoff, as the solver receives it."""
+    sample, params = predictor(g, seed, epochs)
+    pred = soft_adjacency_graph(predict_adjacency(params, sample))
+    return pred.edge_u.tobytes() + pred.edge_v.tobytes() + pred.edge_w.tobytes()
 
 
 def padded_code_bytes(g: Graph, seed: int) -> bytes:
@@ -271,6 +294,7 @@ def cases() -> Iterator[Case]:
         for kind in ProblemKind:
             yield f"qubo/{name}/{kind.value}", partial(qubo_bytes, kind, q_graph)
     yield "predictor/seed=0", partial(predictor_bytes, g, 0)
+    yield "predicted/dfl-partial/seed=0", partial(predicted_bytes, g, 0)
     dense = generate_erdos_renyi(100, 0.8, 0)
     yield "predictor/dense/seed=0", partial(predictor_bytes, dense, 0, 400)
     reg100 = makers["reg-100"]()

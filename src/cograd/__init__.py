@@ -39,7 +39,6 @@ from .graph import (
 )
 from .linkpred import (
     PredictorParams,
-    SoftAdjacency,
     pair_scores,
     predict_adjacency,
     reconstruction_bce,

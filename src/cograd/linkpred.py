@@ -13,7 +13,7 @@ come from one stream of the descent's generator, drawn in bulk, and a key
 is searched among the taken pairs only when a prefilter table cannot rule
 it out.
 
-The prediction is a list of weighted pairs, never an n x n matrix.
+The prediction is a sparse weighted :class:`Graph`, never an n x n matrix.
 Observed pairs keep their ground truth, since observed evidence is certain,
 and each unobserved node keeps only its highest-scoring partners, as many
 as the observed mean degree: about as many predicted edges as true ones.
@@ -28,19 +28,17 @@ square of the observed nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ._sparse import Csr, bind, bind_scatter, spmm
 from .gnn import _P_EPS, Adam, TrainConfig, _carve, _dims, _draw_normal, _sigmoid
-from .gnn import descend
+from .gnn import _count, descend
 from .graph import Graph, ObservedSample, _check_endpoints, _endpoint_arrays
 from .graph import _renormalized_csr
 
 __all__ = [
     "PredictorParams",
-    "SoftAdjacency",
     "train_predictor",
     "predict_adjacency",
     "pair_scores",
@@ -80,44 +78,21 @@ class PredictorParams:
         return self.embed.shape[0]
 
 
-class SoftAdjacency:
-    """Symmetric edge probabilities with a zero diagonal, stored as pairs.
-
-    ``SoftAdjacency(n, u, v, w)`` puts probability w[i] on pair (u[i], v[i])
-    and 0 on every other pair. Pairs may come in any order and orientation.
-    The attributes ``u``, ``v`` and ``w`` list the pairs with a nonzero
-    probability (u < v, sorted by (u, v)); no n x n matrix is ever built.
-    Raises ValueError for a probability outside [0, 1] (NaN included), then
-    for a pair out of range, a self-loop or a repeated pair, as
-    :meth:`Graph.from_arrays` does for edges.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        u: Sequence[int] | np.ndarray,
-        v: Sequence[int] | np.ndarray,
-        w: Sequence[float] | np.ndarray,
-    ):
-        w = np.asarray(w, dtype=np.float64)
-        if not np.all((w >= 0.0) & (w <= 1.0)):
-            raise ValueError("probabilities must lie in [0, 1]")
-        g = Graph.from_arrays(n, u, v, w)
-        nonzero = g.edge_w != 0.0
-        self.n = n
-        self.u = g.edge_u[nonzero]
-        self.v = g.edge_v[nonzero]
-        self.w = g.edge_w[nonzero]
-
-    def __repr__(self) -> str:
-        return f"SoftAdjacency(n={self.n}, pairs={len(self.w)})"
-
-
-def _check_full_n(sample: ObservedSample, n: int) -> None:
+def _check_full_n(
+    sample: ObservedSample, n: int, params: PredictorParams | None = None
+) -> None:
+    """Refuse a ``full_n`` that is not a whole number or is smaller than the
+    sampled graph, then ``params`` if any entry of its ``embed`` or ``w``
+    is not finite: a NaN would make every comparison of scores false."""
+    if not _count(n, least=0):
+        raise ValueError(f"full_n must be a whole number, got {n!r}")
     if n < sample.original_n:
         raise ValueError(
             f"full_n={n} is smaller than the sampled graph ({sample.original_n})"
         )
+    for name in ("embed", "w") if params is not None else ():
+        if not np.isfinite(getattr(params, name)).all():
+            raise ValueError(f"params.{name} has an entry that is not finite")
 
 
 def _encode(params: PredictorParams, known: ObservedSample) -> np.ndarray:
@@ -127,7 +102,7 @@ def _encode(params: PredictorParams, known: ObservedSample) -> np.ndarray:
     the whole table and no copy of ``embed[kept]`` is made. The product
     with ``w`` takes all full_n rows at once: OpenBLAS may pick another
     kernel for fewer rows, whose last bits differ."""
-    _check_full_n(known, params.full_n)
+    _check_full_n(known, params.full_n, params)
     kept = known.kept_nodes
     embed = np.asarray(params.embed, dtype=np.float64)
     a = _renormalized_csr(known.observed_graph)
@@ -190,8 +165,8 @@ def train_predictor(
     ------
     ValueError
         If the observed graph has no edges to learn from, or if ``full_n``
-        is smaller than the sampled graph, before any work, in the words
-        the scorers use.
+        is not a whole number or is smaller than the sampled graph, before
+        any work, in the words the scorers use.
     TrainingDivergedError
         If the loss becomes non-finite; the message names the epoch.
     """
@@ -457,27 +432,27 @@ def _top_partners(z: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
     return np.unique(np.concatenate(keys))
 
 
-def predict_adjacency(
-    params: PredictorParams, known: ObservedSample
-) -> SoftAdjacency:
-    """Observed pairs at their ground truth plus each unobserved node's
-    best-scoring partners.
+def predict_adjacency(params: PredictorParams, known: ObservedSample) -> Graph:
+    """The predicted graph: observed pairs at their ground truth plus each
+    unobserved node's best-scoring partners, weighted by probability.
 
-    An observed pair keeps its weight clipped to [0, 1]. Each unobserved
-    node keeps its k highest-scoring partners among all other nodes (ties
-    to the smaller index), k being the observed mean degree corrected for
-    node sampling (:func:`_partner_budget`). Every kept pair (u < v) weighs
-    its decoder probability as :func:`pair_scores` gives it, whichever
-    endpoint chose it. All other pairs have probability 0, so the result
-    has at most m_obs + k * n_unobs pairs. Scores are computed in row blocks
-    of bounded size; no n x n array is built. At full observation the
-    prediction is the observed graph with clipped weights. Raises
-    ValueError, before any work, if ``params`` has fewer rows than the
-    sampled graph has nodes, as :func:`pair_scores` and
+    An observed pair keeps its weight clipped to [0, 1], at original
+    indices. Each unobserved node keeps its k highest-scoring partners
+    among all other nodes (ties to the smaller index), k being the observed
+    mean degree corrected for node sampling (:func:`_partner_budget`).
+    Every kept pair weighs its decoder probability as :func:`pair_scores`
+    gives it, whichever endpoint chose it. The result is a :class:`Graph`
+    over ``params.full_n`` nodes with at most m_obs + k * n_unobs edges;
+    an edge may weigh 0, and :func:`cograd.pipeline.soft_adjacency_graph`
+    drops it. Scores are computed in row blocks of bounded size; no
+    n x n array is built. At full observation the prediction is the
+    observed graph with clipped weights. Raises ValueError, before any
+    work, if ``params`` has fewer rows than the sampled graph has nodes or
+    an entry that is not finite, as :func:`pair_scores` and
     :func:`reconstruction_bce` do when they encode.
     """
     n = params.full_n
-    _check_full_n(known, n)
+    _check_full_n(known, n, params)
     kept = known.kept_nodes
     og = known.observed_graph
     unobs = np.setdiff1d(np.arange(n), kept)
@@ -490,7 +465,7 @@ def predict_adjacency(
         u = np.concatenate([u, cu])
         v = np.concatenate([v, cv])
         w = np.concatenate([w, _decode(z, cu, cv)])
-    return SoftAdjacency(n, u, v, w)
+    return Graph.from_arrays(n, u, v, w)
 
 
 def pair_scores(
@@ -500,7 +475,8 @@ def pair_scores(
     without the observed-evidence override. Raises ValueError for pairs that
     are not a (k, 2) array, then, in :meth:`Graph.from_arrays`'s words, for
     the first pair with an endpoint that is no node or with equal endpoints,
-    then if ``params`` has fewer rows than the sampled graph has nodes.
+    then if ``params`` has fewer rows than the sampled graph has nodes or
+    an entry that is not finite.
     """
     pairs = np.asarray(pairs)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -522,8 +498,8 @@ def reconstruction_bce(params: PredictorParams, known: ObservedSample) -> float:
     pairs above the diagonal it keeps; its edge labels come from the
     block's slice of the canonical edge list. No code is gathered per
     pair. Deterministic. Raises ValueError, before any scoring, if
-    ``params`` has fewer rows than the sampled graph has nodes, however
-    few nodes the sample holds.
+    ``params`` has fewer rows than the sampled graph has nodes or an entry
+    that is not finite, however few nodes the sample holds.
     """
     kept = known.kept_nodes
     og = known.observed_graph

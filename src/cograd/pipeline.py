@@ -23,12 +23,7 @@ import numpy as np
 from .gnn import TrainConfig, _check_seed, _python_numbers, _real
 from .gnn import project_and_repair, train
 from .graph import Graph, _kept_count, sample_observed_subgraph
-from .linkpred import (
-    SoftAdjacency,
-    predict_adjacency,
-    reconstruction_bce,
-    train_predictor,
-)
+from .linkpred import predict_adjacency, reconstruction_bce, train_predictor
 from .multilinear import CoverageModel, coverage_multilinear_grads, multilinear_value
 from .qubo import (
     BinaryAssignment,
@@ -118,11 +113,12 @@ class PipelineResult:
         )
 
 
-def soft_adjacency_graph(soft: SoftAdjacency) -> Graph:
-    """Weighted graph of every stored pair whose probability clears the
-    cutoff."""
-    keep = soft.w >= _SOFT_EDGE_CUTOFF
-    return Graph.from_arrays(soft.n, soft.u[keep], soft.v[keep], soft.w[keep])
+def soft_adjacency_graph(g: Graph) -> Graph:
+    """The edges of the predicted graph ``g`` whose probability clears the
+    cutoff. This is the only filter on predicted weights before the QUBO,
+    so it is the one that drops zero weights."""
+    keep = g.edge_w >= _SOFT_EDGE_CUTOFF
+    return Graph.from_arrays(g.n, g.edge_u[keep], g.edge_v[keep], g.edge_w[keep])
 
 
 def end_to_end_solve(g_true: Graph, cfg: PipelineConfig) -> PipelineResult:

@@ -80,6 +80,22 @@ def test_gain_needs_nine_tenths_and_a_gap_beyond_the_spread():
     assert wall["change_better_pairs"] == 10 and not wall["gain_shown"]
 
 
+def test_within_bound_allows_a_loss_up_to_bound_times_the_parent_median():
+    runs = []
+    for seed in range(1, 6):
+        # wall_s 20 % slower under a 25 % bound; quality 20 % lower under 10 %
+        runs.append(_run(seed, "parent", 1.0, quality=0.5))
+        runs.append(_run(seed, "change", 1.2, quality=0.4))
+    metrics = ab_bench.summarize(runs, _E2E)["solve-large"]["metrics"]
+    assert metrics["wall_s"]["within_bound"]
+    assert not metrics["quality"]["within_bound"]
+    # better is always within the bound
+    flipped = [dict(r, side={"parent": "change", "change": "parent"}[r["side"]])
+               for r in runs]
+    metrics = ab_bench.summarize(flipped, _E2E)["solve-large"]["metrics"]
+    assert metrics["wall_s"]["within_bound"] and metrics["quality"]["within_bound"]
+
+
 def test_a_run_without_result_leaves_its_seed_unpaired():
     runs = [_run(1, "parent", 1.0), _run(1, "change", 0.5),
             _run(2, "parent", 1.0), dict(_run(2, "change", 0.5), exit_code=2, result=None),

@@ -18,7 +18,6 @@ from cograd.graph import (
 from cograd import linkpred
 from cograd.linkpred import (
     PredictorParams,
-    SoftAdjacency,
     pair_scores,
     predict_adjacency,
     reconstruction_bce,
@@ -38,13 +37,6 @@ def _known_graph(sample, full_n):
     other node isolated."""
     og, kept = sample.observed_graph, sample.kept_nodes
     return Graph.from_arrays(full_n, kept[og.edge_u], kept[og.edge_v], og.edge_w)
-
-
-def test_soft_adjacency_validation():
-    with pytest.raises(ValueError, match="0, 1"):
-        SoftAdjacency(2, [0], [1], [1.2])
-    with pytest.raises(ValueError, match=r"probabilities must lie in \[0, 1\]"):
-        SoftAdjacency(2, [0], [1], [np.nan])
 
 
 def test_train_predictor_deterministic():
@@ -94,10 +86,45 @@ def test_scorers_reject_a_table_smaller_than_the_sample(monkeypatch, score, frac
     params = PredictorParams(embed=np.zeros((19, 4)), w=np.zeros((4, 2)))
     # the check comes before Â is built or a prediction made
     monkeypatch.setattr(linkpred, "_renormalized_csr", _no_work)
-    monkeypatch.setattr(linkpred, "SoftAdjacency", _no_work)
+    monkeypatch.setattr(linkpred.Graph, "from_arrays", _no_work)
     with pytest.raises(ValueError) as got:
         score(params, s)
     assert str(got.value) == "full_n=19 is smaller than the sampled graph (20)"
+
+
+@pytest.mark.parametrize("where", ["embed", "w"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "score",
+    [
+        predict_adjacency,
+        lambda params, s: pair_scores(params, s, np.array([[0, 1]])),
+        reconstruction_bce,
+    ],
+    ids=["predict_adjacency", "pair_scores", "reconstruction_bce"],
+)
+def test_scorers_reject_a_table_that_is_not_finite(monkeypatch, score, bad, where):
+    # a NaN would spread into every score of its row and make no partner
+    # beat the k-th score, and the losses would be NaN
+    _, s = _sample(frac=0.7)
+    rng = np.random.default_rng(0)
+    params = PredictorParams(embed=rng.normal(size=(20, 4)), w=rng.normal(size=(4, 2)))
+    getattr(params, where)[0, 0] = bad
+    monkeypatch.setattr(linkpred, "_renormalized_csr", _no_work)
+    monkeypatch.setattr(linkpred.Graph, "from_arrays", _no_work)
+    with pytest.raises(ValueError) as got:
+        score(params, s)
+    assert str(got.value) == f"params.{where} has an entry that is not finite"
+
+
+@pytest.mark.parametrize("full_n", [20.0, True])
+def test_train_predictor_rejects_full_n_that_is_not_a_whole_number(monkeypatch, full_n):
+    _, s = _sample()
+    monkeypatch.setattr(linkpred, "_renormalized_csr", _no_work)
+    monkeypatch.setattr(linkpred, "_draw_normal", _no_work)
+    with pytest.raises(ValueError) as got:
+        train_predictor(s, full_n, _FAST)
+    assert str(got.value) == f"full_n must be a whole number, got {full_n!r}"
 
 
 @pytest.mark.parametrize("case", ["padded", "isolated", "reg-1600"])
@@ -145,11 +172,11 @@ def test_single_observed_edge_scores_high():
 def test_predict_override_and_bounds():
     g, s = _sample()
     params = train_predictor(s, 20, _FAST)
-    soft = predict_adjacency(params, s)
-    assert soft.n == 20
+    pred = predict_adjacency(params, s)
+    assert pred.n == 20
     # one entry per pair, above the diagonal; every other pair weighs 0
-    assert np.all(soft.u < soft.v)
-    stored = {(int(a), int(b)): x for a, b, x in zip(soft.u, soft.v, soft.w)}
+    assert np.all(pred.edge_u < pred.edge_v)
+    stored = {(int(a), int(b)): x for a, b, x in zip(pred.edge_u, pred.edge_v, pred.edge_w)}
     kept = s.kept_nodes
     og = s.observed_graph
     observed = set(zip(og.edge_u.tolist(), og.edge_v.tolist()))
@@ -164,20 +191,20 @@ def test_full_observation_reproduces_graph():
     g, _ = _sample()
     s = sample_observed_subgraph(g, 1.0, seed=4)
     params = train_predictor(s, 20, _FAST)
-    soft = predict_adjacency(params, s)
-    for got, want in ((soft.u, g.edge_u), (soft.v, g.edge_v), (soft.w, g.edge_w)):
+    pred = predict_adjacency(params, s)
+    for got, want in ((pred.edge_u, g.edge_u), (pred.edge_v, g.edge_v), (pred.edge_w, g.edge_w)):
         assert np.array_equal(got, want)
 
 
 def test_unobserved_nodes_get_scores_in_range():
     g, s = _sample(frac=0.6)
     params = train_predictor(s, 20, _FAST)
-    soft = predict_adjacency(params, s)
+    pred = predict_adjacency(params, s)
     unobs = np.setdiff1d(np.arange(20), s.kept_nodes)
     assert len(unobs) > 0
-    at_unobs = np.isin(soft.u, unobs) | np.isin(soft.v, unobs)
+    at_unobs = np.isin(pred.edge_u, unobs) | np.isin(pred.edge_v, unobs)
     assert np.any(at_unobs)
-    sub = soft.w[at_unobs]
+    sub = pred.edge_w[at_unobs]
     assert np.all((sub >= 0.0) & (sub <= 1.0))
 
 
@@ -463,41 +490,6 @@ def test_reconstruction_bce_bit_identical_to_per_pair_reference(monkeypatch, cas
     assert got.hex() == _reference_reconstruction_bce(params, s, rows).hex()
 
 
-def test_soft_adjacency_sorts_pairs_and_drops_zeros():
-    # any order and orientation; the explicit zero on (1, 2) is not stored
-    soft = SoftAdjacency(9, [5, 0, 8, 1, 7], [2, 3, 4, 2, 0], [0.6, 1.0, 0.9, 0.0, 0.55])
-    assert soft.n == 9
-    assert soft.u.tolist() == [0, 0, 2, 4]
-    assert soft.v.tolist() == [3, 7, 5, 8]
-    assert soft.w.tolist() == [1.0, 0.55, 0.6, 0.9]
-    assert soft.u.dtype == soft.v.dtype == np.int64 and soft.w.dtype == np.float64
-    empty = SoftAdjacency(4, [], [], [])
-    assert empty.n == 4 and len(empty.u) == len(empty.v) == len(empty.w) == 0
-
-
-@pytest.mark.parametrize(
-    "u, v, w, fragment",
-    [
-        ([0], [3], [0.5], "out of range"),
-        ([1], [1], [0.5], "self-loop"),
-        ([0, 1], [1, 0], [0.5, 0.5], "duplicate"),
-        ([0], [1], [1.5], "0, 1"),
-        ([0], [1], [-0.1], "0, 1"),
-        ([0], [1], [np.nan], "0, 1"),
-        ([0, 1], [1, 2], [0.5], "equal length"),
-    ],
-)
-def test_soft_adjacency_from_pairs_validation(u, v, w, fragment):
-    with pytest.raises(ValueError, match=fragment):
-        SoftAdjacency(3, u, v, w)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_soft_adjacency_from_pairs_rejects_non_finite(bad):
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        SoftAdjacency(4, [0, 1, 2], [1, 2, 3], [0.5, bad, 0.5])
-
-
 def _budget(sample, full_n):
     og = sample.observed_graph
     return min(max(1, round(2 * og.m * full_n / og.n**2)), full_n - 1)
@@ -508,21 +500,21 @@ def test_predicted_pairs_are_truth_plus_budgeted_partners(frac, full_n):
     g = generate_erdos_renyi(40, 0.1, seed=5)
     s = sample_observed_subgraph(g, frac, seed=2)
     params = train_predictor(s, full_n, _FAST)
-    soft = predict_adjacency(params, s)
+    pred = predict_adjacency(params, s)
     kept, og = s.kept_nodes, s.observed_graph
     unobs = np.setdiff1d(np.arange(full_n), kept)
     k = _budget(s, full_n)
-    assert len(soft.w) <= og.m + k * len(unobs)
-    assert np.all(soft.u < soft.v)
-    assert np.all(np.diff(soft.u * full_n + soft.v) > 0)
-    observed = np.isin(soft.u, kept) & np.isin(soft.v, kept)
+    assert len(pred.edge_w) <= og.m + k * len(unobs)
+    assert np.all(pred.edge_u < pred.edge_v)
+    assert np.all(np.diff(pred.edge_u * full_n + pred.edge_v) > 0)
+    observed = np.isin(pred.edge_u, kept) & np.isin(pred.edge_v, kept)
     truth = {(int(kept[a]), int(kept[b])) for a, b, _ in og.edges}
-    assert {(int(a), int(b)) for a, b in zip(soft.u[observed], soft.v[observed])} == truth
-    assert np.all(soft.w[observed] == 1.0)
-    pairs = np.column_stack([soft.u[~observed], soft.v[~observed]])
-    assert np.array_equal(soft.w[~observed], pair_scores(params, s, pairs))
+    assert {(int(a), int(b)) for a, b in zip(pred.edge_u[observed], pred.edge_v[observed])} == truth
+    assert np.all(pred.edge_w[observed] == 1.0)
+    pairs = np.column_stack([pred.edge_u[~observed], pred.edge_v[~observed]])
+    assert np.array_equal(pred.edge_w[~observed], pair_scores(params, s, pairs))
     # each unobserved node keeps its k best partners, so it has at least k
-    touch = np.bincount(np.concatenate([soft.u, soft.v]), minlength=full_n)
+    touch = np.bincount(np.concatenate([pred.edge_u, pred.edge_v]), minlength=full_n)
     assert np.all(touch[unobs] >= k)
 
 
@@ -534,9 +526,9 @@ def test_partner_budget_is_sampling_corrected_mean_degree():
     params = PredictorParams(
         embed=np.random.default_rng(0).normal(size=(800, 8)), w=np.eye(8, 4)
     )
-    soft = predict_adjacency(params, s)
-    assert len(soft.w) <= s.observed_graph.m + 3 * 160
-    assert len(soft.w) <= 2 * g.m
+    pred = predict_adjacency(params, s)
+    assert len(pred.edge_w) <= s.observed_graph.m + 3 * 160
+    assert len(pred.edge_w) <= 2 * g.m
 
 
 def test_tied_scores_go_to_smaller_index():
@@ -550,8 +542,8 @@ def test_tied_scores_go_to_smaller_index():
     embed = np.zeros((8, 2))
     embed[2:, 0] = 1.0
     params = PredictorParams(embed=embed, w=np.eye(2))
-    soft = predict_adjacency(params, s)
-    got = {(int(a), int(b)) for a, b in zip(soft.u, soft.v)}
+    pred = predict_adjacency(params, s)
+    got = {(int(a), int(b)) for a, b in zip(pred.edge_u, pred.edge_v)}
     want = {(0, 1)}
     for a in range(2, 8):
         others = [b for b in range(2, 8) if b != a][:4]
@@ -593,11 +585,11 @@ def test_predict_adjacency_memory_is_far_below_dense():
     )
     tracemalloc.start()
     try:
-        soft = predict_adjacency(params, s)
+        pred = predict_adjacency(params, s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(soft.w) <= 2 * g.m
+    assert len(pred.edge_w) <= 2 * g.m
     assert peak < n * n * 8 / 10, f"peak {peak / 1e6:.1f} MB"
 
 

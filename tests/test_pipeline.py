@@ -272,13 +272,12 @@ def test_partial_observation_pipeline_memory_is_bounded():
 
 
 def test_soft_adjacency_graph_cutoff():
-    from cograd.linkpred import SoftAdjacency
-
-    # the pair (1, 2) lies below the cutoff and is dropped
-    g = soft_adjacency_graph(SoftAdjacency(3, [0, 1], [1, 2], [0.9, 1e-4]))
-    assert g.m == 1
-    u, v, w = g.edges[0]
-    assert (u, v) == (0, 1) and w == 0.9
+    # (1, 2) lies below the cutoff and (0, 2) weighs 0: both are dropped,
+    # and (0, 1) exactly at the cutoff is kept
+    predicted = Graph(4, [(0, 1, 1e-3), (1, 2, 1e-4), (0, 2, 0.0), (2, 3, 0.9)])
+    g = soft_adjacency_graph(predicted)
+    assert g.n == 4
+    assert g.edges == ((0, 1, 1e-3), (2, 3, 0.9))
 
 
 def test_multilinear_binary_corners_exact():
